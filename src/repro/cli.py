@@ -93,16 +93,10 @@ def _seed_list(text: str) -> List[int]:
 
 def _load_source_record(args, source_path: str):
     """Elaborate (or cache-load) the record for a Verilog file argument."""
-    from repro.core.dataset import build_design_record
-    from repro.runtime.cache import ArtifactCache, record_key
+    from repro.runtime.cache import ArtifactCache, load_or_build_record
 
     path = Path(source_path)
-    source = path.read_text()
-    name = args.design_name or path.stem
-    cache = ArtifactCache()
-    return cache.load_or_build(
-        record_key(source, None, name), lambda: build_design_record(source, name=name)
-    )
+    return load_or_build_record(path.read_text(), args.design_name or path.stem, ArtifactCache())
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:

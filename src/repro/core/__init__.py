@@ -42,7 +42,6 @@ from repro.core.sampling import (
     SamplingConfig,
     sample_count,
     sample_design_paths,
-    sample_endpoint_paths,
 )
 from repro.core.features import (
     DESIGN_FEATURE_NAMES,
@@ -96,7 +95,6 @@ __all__ = [
     "SamplingConfig",
     "sample_count",
     "sample_design_paths",
-    "sample_endpoint_paths",
     "DESIGN_FEATURE_NAMES",
     "PATH_FEATURE_NAMES",
     "PathDataset",

@@ -25,11 +25,11 @@ Cache hits are recorded as the ``features.cache_hit`` stage and the
 Environment knobs:
 
 * ``REPRO_FEATURE_CACHE=0`` — disable both layers (every call re-extracts),
-* ``REPRO_FEATURE_CACHE_DISK=0`` — keep the cache in-memory only,
-* ``REPRO_FEATURE_CACHE_MEM`` — max in-memory entries (default 256),
-* ``REPRO_FEATURE_CACHE_MAX_MB`` — on-disk size budget in MiB (default 256);
-  the feature store prunes itself and is invisible to the record cache's
-  own budget.
+* ``REPRO_FEATURE_CACHE_DISK=0`` — keep the cache in-memory only.
+
+The in-memory layer holds :data:`MEMORY_ENTRIES` entries; the on-disk layer
+prunes itself to :data:`DISK_BUDGET_MB` and is invisible to the record
+cache's own budget.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ import os
 from collections import OrderedDict
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.runtime import report as report_mod
 from repro.runtime.cache import (
     ArtifactCache,
+    code_paths,
     code_fingerprint,
     default_cache_dir,
     record_fingerprint,
@@ -55,29 +56,32 @@ FEATURE_CACHE_ENV_VAR = "REPRO_FEATURE_CACHE"
 #: Set to ``0`` to skip the on-disk layer (in-memory only).
 FEATURE_CACHE_DISK_ENV_VAR = "REPRO_FEATURE_CACHE_DISK"
 
-#: Maximum number of in-memory entries before LRU eviction.
-FEATURE_CACHE_MEM_ENV_VAR = "REPRO_FEATURE_CACHE_MEM"
-
-#: Size budget (in MiB) of the on-disk layer (default 256).
-FEATURE_CACHE_MAX_MB_ENV_VAR = "REPRO_FEATURE_CACHE_MAX_MB"
-
-#: Default on-disk budget in MiB; feature entries are small and cheap to
-#: rebuild relative to DesignRecords, so the budget is much tighter than the
-#: record cache's.
-DEFAULT_DISK_MB = 256
+#: On-disk budget in MiB; feature entries are small and cheap to rebuild
+#: relative to DesignRecords, so the budget is much tighter than the record
+#: cache's.
+DISK_BUDGET_MB = 256
 
 #: Disk stores between prune passes (a prune walks the cache directory).
 _PRUNE_EVERY = 64
 
-#: Default in-memory entry budget (a PathDataset is a few hundred KB).
-DEFAULT_MEM_ENTRIES = 256
+#: In-memory entry budget (a PathDataset is a few hundred KB).
+MEMORY_ENTRIES = 256
 
 #: Stage recorded (with its call count) for every cache hit.
 CACHE_HIT_STAGE = "features.cache_hit"
 
-#: Feature-extraction source files folded into the cache key on top of the
-#: build-relevant scope already covered by ``code_fingerprint``.
-_FEATURE_CODE_FILES = ("features.py", "sampling.py")
+#: Source files (relative to ``src/repro``) folded into the cache key on top
+#: of the build-relevant scope already covered by ``code_fingerprint``: the
+#: extraction modules (features, sampling, path index) and every other
+#: ``src/repro`` file they import.
+_FEATURE_CODE_FILES = (
+    "core/features.py",
+    "core/sampling.py",
+    "core/path_index.py",
+    "core/feature_cache.py",
+    "ml/gnn.py",
+    "runtime/report.py",
+)
 
 
 def feature_cache_enabled() -> bool:
@@ -90,12 +94,10 @@ def feature_disk_enabled() -> bool:
     return os.environ.get(FEATURE_CACHE_DISK_ENV_VAR, "1") != "0"
 
 
-def _memory_budget() -> int:
-    try:
-        budget = int(os.environ.get(FEATURE_CACHE_MEM_ENV_VAR, str(DEFAULT_MEM_ENTRIES)))
-    except ValueError:
-        budget = DEFAULT_MEM_ENTRIES
-    return max(budget, 1)
+def feature_code_paths() -> List[Path]:
+    """Every source file :func:`feature_code_fingerprint` covers."""
+    root = Path(__file__).resolve().parent.parent  # src/repro
+    return code_paths() + [root / entry for entry in _FEATURE_CODE_FILES]
 
 
 @lru_cache(maxsize=1)
@@ -109,7 +111,7 @@ def feature_code_fingerprint() -> str:
     """
     digest = hashlib.sha256()
     digest.update(code_fingerprint().encode())
-    root = Path(__file__).resolve().parent  # src/repro/core
+    root = Path(__file__).resolve().parent.parent  # src/repro
     for entry in _FEATURE_CODE_FILES:
         path = root / entry
         digest.update(entry.encode())
@@ -177,7 +179,7 @@ class PathFeatureCache:
     ):
         if directory is None:
             directory = default_cache_dir() / "features"
-        self.max_entries = _memory_budget() if max_entries is None else max(int(max_entries), 1)
+        self.max_entries = MEMORY_ENTRIES if max_entries is None else max(int(max_entries), 1)
         self.disk = ArtifactCache(directory, counter_prefix="feature_disk")
         if disk is not None:
             self.disk.enabled = bool(disk)
@@ -214,7 +216,7 @@ class PathFeatureCache:
             self._stores_since_prune += 1
             if self._stores_since_prune >= _PRUNE_EVERY:
                 self._stores_since_prune = 0
-                self.disk.prune(self._disk_budget_bytes())
+                self.disk.prune(DISK_BUDGET_MB * 1024 * 1024)
         return value
 
     def clear(self) -> None:
@@ -222,13 +224,6 @@ class PathFeatureCache:
         self._memory.clear()
 
     # -- internals -----------------------------------------------------------
-
-    def _disk_budget_bytes(self) -> int:
-        try:
-            budget = int(os.environ.get(FEATURE_CACHE_MAX_MB_ENV_VAR, str(DEFAULT_DISK_MB)))
-        except ValueError:
-            budget = DEFAULT_DISK_MB
-        return max(budget, 1) * 1024 * 1024
 
     def _remember(self, key: str, value: Any) -> None:
         self._memory[key] = value

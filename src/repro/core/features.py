@@ -13,7 +13,10 @@ Three levels of features are extracted for every sampled path:
 
 The same module also produces the per-path token sequences consumed by the
 transformer path model and the whole-graph records consumed by the GNN
-baseline.
+baseline.  Paths are sampled and measured on a
+:class:`~repro.core.path_index.PathIndex` built once per extraction, byte
+for byte equal to the per-path reference extractor in
+``tests/path_oracle.py``.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.dataset import DesignRecord
-from repro.core.sampling import EndpointSamples, SamplingConfig, sample_design_paths
+from repro.core.path_index import TOKEN_FUNCTIONS, PathIndex
+from repro.core.sampling import SamplingConfig, sample_design_paths
 from repro.ml.gnn import GraphData
 from repro.runtime.report import stage as _stage
 from repro.sta.engine import STAReport
-from repro.sta.network import TimingNetwork, VertexKind
-from repro.sta.paths import path_arrival
+from repro.sta.network import TimingNetwork
 
 
 #: Column names of the path feature matrix (order matters).
@@ -57,10 +60,6 @@ PATH_FEATURE_NAMES: Tuple[str, ...] = (
     "endpoint_fanout",
     "endpoint_pseudo_arrival",
 )
-
-#: Token alphabet for the transformer path model.
-_TOKEN_FUNCTIONS: Tuple[str, ...] = ("AND", "OR", "XOR", "NOT", "MUX", "REG", "input", "const")
-
 
 @dataclass
 class PathDataset:
@@ -122,48 +121,59 @@ def _extract_path_dataset(
     report = record.pseudo_reports[variant]
 
     wanted = list(endpoint_names) if endpoint_names is not None else record.endpoint_names
-    samples = sample_design_paths(network, report, sampling, wanted)
+    index = PathIndex(network, report)
+    samples = sample_design_paths(network, report, sampling, wanted, index=index)
 
     design_stats = _design_statistics(network)
     rank_percent = _endpoint_rank_percent(report, wanted)
-    fanouts = network.fanouts()
 
-    feature_rows: List[np.ndarray] = []
-    token_rows: List[np.ndarray] = []
-    groups: List[int] = []
+    paths: List[List[int]] = []
+    path_endpoint: List[int] = []  # kept-endpoint position of every path
+    ranks: List[float] = []
+    cone_widths: List[float] = []
+    drivers: List[int] = []
     endpoint_labels: List[float] = []
     endpoint_signals: List[str] = []
     kept_names: List[str] = []
 
-    for endpoint_index, name in enumerate(wanted):
+    for name in wanted:
         endpoint_samples = samples.get(name)
         if endpoint_samples is None:
             continue
+        local_index = len(kept_names)
         kept_names.append(name)
         endpoint_signals.append(endpoint_samples.signal)
         endpoint_labels.append(record.labels[name])
-        local_index = len(kept_names) - 1
+        ranks.append(rank_percent.get(name, 0.0))
+        cone_widths.append(float(endpoint_samples.n_driving_registers))
+        drivers.append(endpoint_samples.driver)
         for path in endpoint_samples.paths:
-            feature_rows.append(
-                _path_feature_vector(
-                    network,
-                    report,
-                    path.vertices,
-                    design_stats,
-                    rank_percent.get(name, 0.0),
-                    endpoint_samples,
-                    fanouts,
-                )
-            )
-            token_rows.append(_path_tokens(network, report, path.vertices, fanouts))
-            groups.append(local_index)
+            paths.append(path.vertices)
+            path_endpoint.append(local_index)
+
+    groups = np.array(path_endpoint, dtype=int)
+    if paths:
+        columns, tokens = index.path_columns(paths)
+        driver_of_path = np.array(drivers, dtype=np.int64)[groups]
+        columns.update(
+            design_rank_percent=np.array(ranks)[groups],
+            design_n_sequential=np.full(len(paths), design_stats["n_sequential"]),
+            design_n_combinational=np.full(len(paths), design_stats["n_combinational"]),
+            design_n_total=np.full(len(paths), design_stats["n_total"]),
+            cone_n_driving_regs=np.array(cone_widths)[groups],
+            endpoint_fanout=index.fanout_count[driver_of_path],
+            endpoint_pseudo_arrival=report.arrivals[driver_of_path],
+        )
+        features = np.column_stack([columns[name] for name in PATH_FEATURE_NAMES])
+    else:
+        features, tokens = np.zeros((0, len(PATH_FEATURE_NAMES))), []
 
     return PathDataset(
         design=record.name,
         variant=variant,
-        features=np.array(feature_rows) if feature_rows else np.zeros((0, len(PATH_FEATURE_NAMES))),
-        groups=np.array(groups, dtype=int),
-        tokens=token_rows,
+        features=features,
+        groups=groups,
+        tokens=tokens,
         endpoint_names=kept_names,
         endpoint_signals=endpoint_signals,
         endpoint_labels=np.array(endpoint_labels),
@@ -233,75 +243,6 @@ def _endpoint_rank_percent(report: STAReport, names: Sequence[str]) -> Dict[str,
     return {name: 100.0 * index / total for index, (name, _) in enumerate(arrivals)}
 
 
-def _path_feature_vector(
-    network: TimingNetwork,
-    report: STAReport,
-    vertices: Sequence[int],
-    design_stats: Dict[str, float],
-    rank_percent: float,
-    endpoint_samples: EndpointSamples,
-    fanouts: List[List[int]],
-) -> np.ndarray:
-    gate_vertices = [v for v in vertices if network.vertices[v].kind is VertexKind.GATE]
-    functions = [network.vertices[v].cell.function for v in gate_vertices]
-    fanout_counts = np.array([len(fanouts[v]) for v in vertices], dtype=float)
-    loads = np.array([report.loads[v] for v in vertices], dtype=float)
-    slews = np.array([report.slews[v] for v in vertices], dtype=float)
-    arrival = path_arrival(network, report, list(vertices))
-    driver = endpoint_samples.driver
-
-    def count(function: str) -> float:
-        return float(sum(1 for f in functions if f == function))
-
-    values = {
-        "design_rank_percent": rank_percent,
-        "design_n_sequential": design_stats["n_sequential"],
-        "design_n_combinational": design_stats["n_combinational"],
-        "design_n_total": design_stats["n_total"],
-        "cone_n_driving_regs": float(endpoint_samples.n_driving_registers),
-        "path_pseudo_arrival": arrival,
-        "path_n_levels": float(len(vertices)),
-        "path_n_operators": float(len(gate_vertices)),
-        "path_n_and": count("AND"),
-        "path_n_or": count("OR"),
-        "path_n_xor": count("XOR"),
-        "path_n_not": count("NOT"),
-        "path_n_mux": count("MUX"),
-        "path_fanout_sum": float(fanout_counts.sum()),
-        "path_fanout_avg": float(fanout_counts.mean()) if len(fanout_counts) else 0.0,
-        "path_fanout_std": float(fanout_counts.std()) if len(fanout_counts) else 0.0,
-        "path_load_sum": float(loads.sum()),
-        "path_load_avg": float(loads.mean()) if len(loads) else 0.0,
-        "path_load_std": float(loads.std()) if len(loads) else 0.0,
-        "path_slew_avg": float(slews.mean()) if len(slews) else 0.0,
-        "endpoint_fanout": float(len(fanouts[driver])),
-        "endpoint_pseudo_arrival": float(report.arrivals[driver]),
-    }
-    return np.array([values[name] for name in PATH_FEATURE_NAMES])
-
-
-def _path_tokens(
-    network: TimingNetwork,
-    report: STAReport,
-    vertices: Sequence[int],
-    fanouts: List[List[int]],
-) -> np.ndarray:
-    """Per-vertex token features along a path (for the transformer model)."""
-    tokens = np.zeros((len(vertices), len(_TOKEN_FUNCTIONS) + 2))
-    for row, vertex_id in enumerate(vertices):
-        vertex = network.vertices[vertex_id]
-        if vertex.cell is not None:
-            label = vertex.cell.function
-        else:
-            label = vertex.kind.value
-        if label not in _TOKEN_FUNCTIONS:
-            label = "const"
-        tokens[row, _TOKEN_FUNCTIONS.index(label)] = 1.0
-        tokens[row, len(_TOKEN_FUNCTIONS)] = len(fanouts[vertex_id])
-        tokens[row, len(_TOKEN_FUNCTIONS) + 1] = report.loads[vertex_id] / 10.0
-    return tokens
-
-
 # ---------------------------------------------------------------------------
 # Design-level features and GNN graphs
 # ---------------------------------------------------------------------------
@@ -350,14 +291,14 @@ def bog_graph_data(record: DesignRecord, variant: str = "sog") -> GraphData:
     levels = _vertex_levels(network)
 
     n = len(network.vertices)
-    features = np.zeros((n, len(_TOKEN_FUNCTIONS) + 2))
+    features = np.zeros((n, len(TOKEN_FUNCTIONS) + 2))
     for vertex in network.vertices:
         label = vertex.cell.function if vertex.cell is not None else vertex.kind.value
-        if label not in _TOKEN_FUNCTIONS:
+        if label not in TOKEN_FUNCTIONS:
             label = "const"
-        features[vertex.id, _TOKEN_FUNCTIONS.index(label)] = 1.0
-        features[vertex.id, len(_TOKEN_FUNCTIONS)] = len(fanouts[vertex.id])
-        features[vertex.id, len(_TOKEN_FUNCTIONS) + 1] = levels[vertex.id] / 10.0
+        features[vertex.id, TOKEN_FUNCTIONS.index(label)] = 1.0
+        features[vertex.id, len(TOKEN_FUNCTIONS)] = len(fanouts[vertex.id])
+        features[vertex.id, len(TOKEN_FUNCTIONS) + 1] = levels[vertex.id] / 10.0
 
     edge_src: List[int] = []
     edge_dst: List[int] = []

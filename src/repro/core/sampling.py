@@ -11,6 +11,10 @@ every register bit endpoint of a BOG "pseudo netlist":
   proportional to the number of driving registers, so wide cones (whose
   post-synthesis restructuring is hardest to anticipate) contribute more
   evidence.
+
+Cone widths and slowest paths come from a :class:`~repro.core.path_index.PathIndex`
+built once per design; the per-endpoint reference sampler it replaced lives
+in ``tests/path_oracle.py``.
 """
 
 from __future__ import annotations
@@ -20,13 +24,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.path_index import PathIndex
 from repro.sta.engine import STAReport
 from repro.sta.network import TimingNetwork
-from repro.sta.paths import (
-    driving_launch_points,
-    sample_random_path,
-    trace_critical_path,
-)
 
 
 @dataclass
@@ -76,54 +76,49 @@ def sample_count(n_driving_registers: int, config: SamplingConfig) -> int:
     return max(config.k_min, min(config.k_max, k))
 
 
-def sample_endpoint_paths(
-    network: TimingNetwork,
-    report: STAReport,
-    endpoint_name: str,
-    config: SamplingConfig,
-    rng: random.Random,
-) -> EndpointSamples:
-    """Sample the slowest path plus K random paths for one endpoint."""
-    endpoint = next(e for e in network.endpoints if e.name == endpoint_name)
-    launch_points = driving_launch_points(network, endpoint.driver)
-    samples = EndpointSamples(
-        endpoint=endpoint.name,
-        signal=endpoint.signal,
-        bit=endpoint.bit,
-        driver=endpoint.driver,
-        n_driving_registers=len(launch_points),
-    )
-
-    critical = trace_critical_path(network, report, endpoint_name)
-    samples.paths.append(
-        PathSample(endpoint=endpoint.name, vertices=critical.vertices, is_critical=True)
-    )
-
-    for _ in range(sample_count(len(launch_points), config)):
-        vertices = sample_random_path(network, endpoint.driver, rng)
-        samples.paths.append(
-            PathSample(endpoint=endpoint.name, vertices=vertices, is_critical=False)
-        )
-    return samples
-
-
 def sample_design_paths(
     network: TimingNetwork,
     report: STAReport,
     config: Optional[SamplingConfig] = None,
     endpoint_names: Optional[Sequence[str]] = None,
+    index: Optional[PathIndex] = None,
 ) -> Dict[str, EndpointSamples]:
-    """Sample paths for every (or the selected) register endpoint of a design."""
+    """Sample paths for every (or the selected) register endpoint of a design.
+
+    Endpoints are visited in network order and share one ``random.Random``
+    seeded from ``config``, so the random paths of an endpoint depend on the
+    exact endpoint subset.  Each endpoint name resolves to the first network
+    endpoint of that name.  Pass ``index`` to reuse a :class:`PathIndex`
+    already built for ``(network, report)``.
+    """
     config = config or SamplingConfig()
+    index = index or PathIndex(network, report)
     rng = random.Random(config.seed)
     wanted = set(endpoint_names) if endpoint_names is not None else None
+    first_by_name: Dict[str, object] = {}
+    for endpoint in network.endpoints:
+        first_by_name.setdefault(endpoint.name, endpoint)
     result: Dict[str, EndpointSamples] = {}
     for endpoint in network.endpoints:
         if endpoint.kind != "register":
             continue
         if wanted is not None and endpoint.name not in wanted:
             continue
-        result[endpoint.name] = sample_endpoint_paths(
-            network, report, endpoint.name, config, rng
+        target = first_by_name[endpoint.name]
+        n_launch = index.launch_count[target.driver]
+        samples = EndpointSamples(
+            endpoint=target.name,
+            signal=target.signal,
+            bit=target.bit,
+            driver=target.driver,
+            n_driving_registers=n_launch,
         )
+        samples.paths.append(
+            PathSample(target.name, index.critical_path(target.driver), is_critical=True)
+        )
+        for _ in range(sample_count(n_launch, config)):
+            samples.paths.append(
+                PathSample(target.name, index.random_path(target.driver, rng), is_critical=False)
+            )
+        result[endpoint.name] = samples
     return result

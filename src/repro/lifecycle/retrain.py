@@ -136,20 +136,14 @@ def _ingest_fuzz_records(config: RetrainConfig, report) -> List[Any]:
     """Elaborate fuzz-corpus seeds into DesignRecords via the artifact cache."""
     if not config.fuzz_seeds:
         return []
-    from repro.core.dataset import build_design_record
     from repro.fuzz.corpus import generate_fuzz_design
-    from repro.runtime.cache import ArtifactCache, record_key
+    from repro.runtime.cache import ArtifactCache, load_or_build_record
 
     cache = ArtifactCache()
     records = []
     for seed in config.fuzz_seeds:
         design = generate_fuzz_design(int(seed), config.fuzz_size_class)
-        records.append(
-            cache.load_or_build(
-                record_key(design.source, None, design.name),
-                lambda design=design: build_design_record(design.source, name=design.name),
-            )
-        )
+        records.append(load_or_build_record(design.source, design.name, cache))
     report.incr("lifecycle_fuzz_ingested", len(records))
     return records
 

@@ -106,9 +106,8 @@ def replay_artifact(path, cache=None) -> List[str]:
     ``(seed, strategy, budget)`` config drives a fresh search whose canonical
     payload must match the recording field for field.
     """
-    from repro.core.dataset import build_design_record
     from repro.core.optimize import generate_candidates
-    from repro.runtime.cache import ArtifactCache, record_key
+    from repro.runtime.cache import ArtifactCache, load_or_build_record
 
     payload = load_artifact(path)
     source = payload.get("source")
@@ -118,9 +117,7 @@ def replay_artifact(path, cache=None) -> List[str]:
     name = payload["design"]
     if cache is None:
         cache = ArtifactCache()
-    record = cache.load_or_build(
-        record_key(source, None, name), lambda: build_design_record(source, name=name)
-    )
+    record = load_or_build_record(source, name, cache)
 
     config = SearchConfig.from_dict(payload["config"])
     ranking = [str(signal) for signal in payload["ranking"]]

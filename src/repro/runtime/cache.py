@@ -98,7 +98,8 @@ def cache_enabled() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _code_paths() -> List[Path]:
+def code_paths() -> List[Path]:
+    """The build-relevant source files :func:`code_fingerprint` covers."""
     root = Path(__file__).resolve().parent.parent  # src/repro
     paths: List[Path] = []
     for entry in _CODE_SCOPE:
@@ -123,7 +124,7 @@ def code_fingerprint() -> str:
     digest.update(f"python={sys.version_info[:2]}".encode())
     digest.update(f"numpy={np.__version__}".encode())
     digest.update(f"pickle={PICKLE_PROTOCOL}".encode())
-    for path in _code_paths():
+    for path in code_paths():
         digest.update(str(path.relative_to(root)).encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())
@@ -150,6 +151,39 @@ def record_key(spec_or_source: Any, config: Any = None, name: Optional[str] = No
         parts.append(f"name={name or 'user_design'}")
         parts.append(f"source={spec_or_source}")
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def stamp_content_key(record: Any, key: str) -> Any:
+    """Stamp ``record`` with its content-addressed build key; returns it.
+
+    The build key (spec or source ⊕ config ⊕ build code) is a full content
+    identity, so downstream caches (path features) address the record by it
+    instead of pickling the record into a :func:`record_fingerprint`.  A
+    fingerprint that rode along in a cached pickle predates the key and is
+    dropped.
+    """
+    record.__dict__.pop("_feature_fingerprint", None)
+    record.__dict__["_content_key"] = key
+    return record
+
+
+def load_or_build_record(
+    source: str, name: Optional[str] = None, cache: Optional["ArtifactCache"] = None
+) -> Any:
+    """The DesignRecord of raw Verilog ``source``, stamped with its build key.
+
+    Loads from (or builds into) ``cache`` under :func:`record_key`; with
+    ``cache=None`` the record is built without touching any cache.
+    """
+    from repro.core.dataset import build_design_record
+
+    key = record_key(source, None, name)
+
+    def build() -> Any:
+        return build_design_record(source, name=name)
+
+    record = cache.load_or_build(key, build) if cache is not None else build()
+    return stamp_content_key(record, key)
 
 
 def record_fingerprint(record: Any) -> str:

@@ -29,7 +29,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.runtime import report as report_mod
-from repro.runtime.cache import ArtifactCache, gc_paused, record_key
+from repro.runtime.cache import ArtifactCache, gc_paused, record_key, stamp_content_key
 
 #: Environment variable fixing the worker count (``1`` = serial).
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -206,12 +206,6 @@ def build_dataset_parallel(
                 # budget (old code generations leave unreachable entries).
                 cache.prune()
             for record, key in zip(records, keys):
-                # The build key is a full content identity for the record
-                # (spec ⊕ config ⊕ build code); stash it so downstream caches
-                # (path features) can address the record without re-pickling
-                # it into a fingerprint.  Any fingerprint that rode along in a
-                # cached pickle predates this session's key and is dropped.
-                record.__dict__.pop("_feature_fingerprint", None)
-                record.__dict__["_content_key"] = key
+                stamp_content_key(record, key)
             report_mod.incr("designs", len(specs))
     return records

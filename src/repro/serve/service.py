@@ -27,10 +27,10 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
-from repro.core.dataset import DesignRecord, build_design_record
+from repro.core.dataset import DesignRecord
 from repro.core.pipeline import RTLTimer, RTLTimerPrediction
 from repro.faults import fault_fires
-from repro.runtime.cache import ArtifactCache, record_key
+from repro.runtime.cache import ArtifactCache, load_or_build_record, record_key
 from repro.runtime.report import RuntimeReport, activate
 from repro.serve.resilience import (
     DEADLINE_ENV_VAR,
@@ -333,20 +333,13 @@ class TimingService:
             # array kernel to the bit-identical reference loop.  A corrupt
             # disk-cache entry already degrades to recompute inside
             # ArtifactCache.get (gated by cache_breaker).
-            if self._artifacts is not None:
-                record = run_with_kernel_fallback(
-                    self.kernel_breaker,
-                    lambda: self._artifacts.load_or_build(
-                        key, lambda: build_design_record(source, name=name)
-                    ),
-                    self.report,
-                )
-            else:
-                record = run_with_kernel_fallback(
-                    self.kernel_breaker,
-                    lambda: build_design_record(source, name=name),
-                    self.report,
-                )
+            # The record comes back stamped with its build key, so the
+            # path-feature cache addresses it without fingerprinting it.
+            record = run_with_kernel_fallback(
+                self.kernel_breaker,
+                lambda: load_or_build_record(source, name, self._artifacts),
+                self.report,
+            )
         with self._record_mutex:
             self._record_cache[key] = record
             self._record_cache.move_to_end(key)

@@ -17,15 +17,7 @@ from repro.sta.engine import (
     compute_loads,
     resolve_kernel,
 )
-from repro.sta.paths import (
-    TimingPath,
-    driving_launch_points,
-    input_cone,
-    path_arrival,
-    path_cells,
-    sample_random_path,
-    trace_critical_path,
-)
+from repro.sta.paths import TimingPath, trace_critical_path
 
 __all__ = [
     "ClockConstraint",
@@ -43,10 +35,5 @@ __all__ = [
     "compute_loads",
     "resolve_kernel",
     "TimingPath",
-    "driving_launch_points",
-    "input_cone",
-    "path_arrival",
-    "path_cells",
-    "sample_random_path",
     "trace_critical_path",
 ]

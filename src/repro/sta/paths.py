@@ -1,18 +1,17 @@
 """Timing path extraction.
 
-Provides the "slowest path" tracing the paper's register-oriented RTL
-processing relies on (Section 3.2): starting from an endpoint, walk backwards
+Provides "slowest path" tracing: starting from an endpoint, walk backwards
 always choosing the fanin that determined the max arrival, until a launch
-point (register output or primary input) is reached.  Also provides random
-path sampling within an endpoint's input cone, used to generate the
-additional ``K`` paths per endpoint.
+point (register output or primary input) is reached.  The synthesis sizing
+pass and the incremental what-if engine trace paths of gate-level netlists
+this way.  Path sampling on the pseudo netlist (Section 3.2 of the paper)
+runs on the array-native :class:`repro.core.path_index.PathIndex` instead.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import List, Sequence, Set
+from typing import List
 
 from repro.sta.engine import STAReport, arrival_delay_of
 from repro.sta.network import TimingNetwork, VertexKind
@@ -62,67 +61,3 @@ def trace_critical_path(
         vertices=vertices,
         arrival=float(report.arrivals[endpoint.driver]),
     )
-
-
-def input_cone(network: TimingNetwork, driver: int) -> Set[int]:
-    """All vertices in the transitive fanin of ``driver`` (inclusive)."""
-    seen: Set[int] = set()
-    stack = [driver]
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        stack.extend(network.vertices[current].fanins)
-    return seen
-
-
-def driving_launch_points(network: TimingNetwork, driver: int) -> List[int]:
-    """Launch points (registers / primary inputs) in the cone of ``driver``."""
-    cone = input_cone(network, driver)
-    return [v for v in cone if network.vertices[v].is_launch_point]
-
-
-def sample_random_path(
-    network: TimingNetwork,
-    driver: int,
-    rng: random.Random,
-) -> List[int]:
-    """Sample one path from a random launch point to ``driver``.
-
-    The path is built by walking backwards from the endpoint driver, choosing
-    a random fanin at every step, which matches the paper's random path
-    sampling within the endpoint input cone.
-    """
-    vertices = [driver]
-    current = driver
-    while True:
-        vertex = network.vertices[current]
-        if vertex.kind is not VertexKind.GATE or not vertex.fanins:
-            break
-        current = rng.choice(vertex.fanins)
-        vertices.append(current)
-    vertices.reverse()
-    return vertices
-
-
-def path_arrival(network: TimingNetwork, report: STAReport, vertices: Sequence[int]) -> float:
-    """Arrival time accumulated along an explicit path under ``report``."""
-    if not vertices:
-        return 0.0
-    arrival = float(report.arrivals[vertices[0]])
-    for previous, current in zip(vertices, vertices[1:]):
-        arrival += arrival_delay_of(network, report, current, previous)
-    return arrival
-
-
-def path_cells(network: TimingNetwork, vertices: Sequence[int]) -> List[str]:
-    """Cell function names along a path (launch point and gates)."""
-    names = []
-    for vertex_id in vertices:
-        vertex = network.vertices[vertex_id]
-        if vertex.cell is not None:
-            names.append(vertex.cell.function)
-        else:
-            names.append(vertex.kind.value)
-    return names

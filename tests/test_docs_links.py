@@ -69,8 +69,6 @@ def test_serving_doc_covers_every_env_knob():
     from repro.core.feature_cache import (
         FEATURE_CACHE_DISK_ENV_VAR,
         FEATURE_CACHE_ENV_VAR,
-        FEATURE_CACHE_MAX_MB_ENV_VAR,
-        FEATURE_CACHE_MEM_ENV_VAR,
     )
     from repro.faults import FAULT_ENV_VAR
     from repro.ml.tree import BINS_ENV_VAR
@@ -87,8 +85,6 @@ def test_serving_doc_covers_every_env_knob():
     for variable in (
         FEATURE_CACHE_DISK_ENV_VAR,
         FEATURE_CACHE_ENV_VAR,
-        FEATURE_CACHE_MAX_MB_ENV_VAR,
-        FEATURE_CACHE_MEM_ENV_VAR,
         FAULT_ENV_VAR,
         BINS_ENV_VAR,
         CACHE_DIR_ENV_VAR,

@@ -439,3 +439,52 @@ def test_close_without_drain_aborts_queued_requests(served_timer, tiny_records):
     thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert len(errors) == 1  # answered either way; an abort error is legal
+
+
+def test_cold_source_requests_never_fingerprint_records(
+    http_server, served_timer, simple_source, tmp_path, monkeypatch
+):
+    """Served records carry their build key, so no request pickles a record."""
+    import repro.core.feature_cache as feature_cache
+    import repro.runtime.cache as runtime_cache
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    feature_cache.reset_feature_cache()
+    calls = []
+    original = runtime_cache.record_fingerprint
+
+    def counting(record):
+        calls.append(record)
+        return original(record)
+
+    monkeypatch.setattr(runtime_cache, "record_fingerprint", counting)
+    monkeypatch.setattr(feature_cache, "record_fingerprint", counting)
+    try:
+        source = simple_source.replace("module simple", "module simple_cold")
+        predicted = _post(http_server, "/predict", {"source": source, "name": "simple_cold"})
+        assert predicted["design"] == "simple_cold"
+        assert calls == []
+        whatif = _post(http_server, "/whatif", {"source": source, "name": "simple_cold", "k": 2})
+        assert whatif["candidates"]
+        assert calls == []
+        record = http_server.service.record_for_source(source, name="simple_cold")
+        assert record.__dict__["_content_key"] == runtime_cache.record_key(source, None, "simple_cold")
+    finally:
+        feature_cache.reset_feature_cache()
+
+
+def test_load_or_build_record_stamps_key_and_drops_stale_fingerprint(simple_source, tmp_path):
+    from repro.runtime.cache import ArtifactCache, load_or_build_record, record_key
+
+    cache = ArtifactCache(tmp_path / "records")
+    built = load_or_build_record(simple_source, "simple", cache)
+    key = record_key(simple_source, None, "simple")
+    assert built.__dict__["_content_key"] == key
+    # A fingerprint pickled along with a cached record predates the key.
+    built.__dict__["_feature_fingerprint"] = "fp:stale"
+    cache.put(key, built)
+    loaded = load_or_build_record(simple_source, "simple", cache)
+    assert loaded is not built
+    assert "_feature_fingerprint" not in loaded.__dict__
+    assert loaded.__dict__["_content_key"] == key
+    assert load_or_build_record(simple_source, "simple", None).__dict__["_content_key"] == key

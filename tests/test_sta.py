@@ -12,12 +12,14 @@ from repro.sta import (
     VertexKind,
     analyze,
     compute_loads,
-    driving_launch_points,
     from_bog,
+    trace_critical_path,
+)
+from tests.path_oracle import (
+    driving_launch_points,
     input_cone,
     path_arrival,
     sample_random_path,
-    trace_critical_path,
 )
 
 
