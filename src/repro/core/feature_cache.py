@@ -80,6 +80,7 @@ _FEATURE_CODE_FILES = (
     "core/path_index.py",
     "core/feature_cache.py",
     "ml/gnn.py",
+    "runtime/cache.py",
     "runtime/report.py",
 )
 

@@ -30,7 +30,9 @@ from repro.core.dataset import DesignRecord
 from repro.core.path_index import TOKEN_FUNCTIONS, PathIndex
 from repro.core.sampling import SamplingConfig, sample_design_paths
 from repro.ml.gnn import GraphData
+from repro.runtime.cache import gc_paused
 from repro.runtime.report import stage as _stage
+from repro.sta.csr import KIND_GATE, KIND_REGISTER
 from repro.sta.engine import STAReport
 from repro.sta.network import TimingNetwork
 
@@ -104,7 +106,10 @@ def extract_path_dataset(
     sampling = sampling or SamplingConfig()
 
     def extractor() -> PathDataset:
-        with _stage("features.extract_path_dataset"):
+        # Sampling allocates one list per path and nothing cyclic; with the
+        # collector on, those allocations trigger collections that walk the
+        # whole heap of loaded records and models.
+        with _stage("features.extract_path_dataset"), gc_paused():
             return _extract_path_dataset(record, variant, sampling, endpoint_names)
 
     return cached_extract_path_dataset(record, variant, sampling, endpoint_names, extractor)
@@ -221,8 +226,9 @@ def combine_path_datasets(datasets: Sequence[PathDataset]) -> PathDataset:
 
 
 def _design_statistics(network: TimingNetwork) -> Dict[str, float]:
-    n_sequential = float(network.register_count())
-    n_combinational = float(network.gate_count())
+    kind = network.compiled().kind
+    n_sequential = float(np.count_nonzero(kind == KIND_REGISTER))
+    n_combinational = float(np.count_nonzero(kind == KIND_GATE))
     return {
         "n_sequential": n_sequential,
         "n_combinational": n_combinational,

@@ -42,6 +42,12 @@ TOKEN_FUNCTIONS: Tuple[str, ...] = ("AND", "OR", "XOR", "NOT", "MUX", "REG", "in
 #: Gate functions counted per path (the ``path_n_<function>`` features).
 OPERATOR_FUNCTIONS: Tuple[str, ...] = ("AND", "OR", "XOR", "NOT", "MUX")
 
+#: Operator classes beyond :data:`OPERATOR_FUNCTIONS` (see ``PathIndex.op_code``).
+_OTHER_GATE = len(OPERATOR_FUNCTIONS)
+_NOT_A_GATE = _OTHER_GATE + 1
+
+_OP_CLASSES = np.arange(_NOT_A_GATE + 1, dtype=np.int8)
+
 #: Width of one launch-point bitset chunk, in 64-bit words.  Bounds the
 #: bitset pass to ``n_vertices * 8 * _BITSET_WORDS`` bytes at a time.
 _BITSET_WORDS = 16
@@ -77,7 +83,12 @@ class PathIndex:
         )
         token_of_kind = np.array([_token_code(label) for label in kind_labels], dtype=np.int64)
         has_cell = cols.cell_row != 0
-        self.op_code = np.where(self.is_gate, op_of_row[cols.cell_row], -1).astype(np.int8)
+        # Operator class per vertex: a counted function, another gate, or no gate.
+        self.op_code = np.where(
+            self.is_gate,
+            np.where(op_of_row[cols.cell_row] >= 0, op_of_row[cols.cell_row], _OTHER_GATE),
+            _NOT_A_GATE,
+        ).astype(np.int8)
         token_code = np.where(has_cell, token_of_row[cols.cell_row], token_of_kind[graph.kind])
 
         width = len(TOKEN_FUNCTIONS)
@@ -237,16 +248,21 @@ class PathIndex:
             )
             columns["path_pseudo_arrival"][rows] = np.add.accumulate(terms, axis=1)[:, -1]
             columns["path_n_levels"][rows] = float(length)
-            columns["path_n_operators"][rows] = np.count_nonzero(self.is_gate[V], axis=1)
-            ops = self.op_code[V]
+            op_counts = (self.op_code[V][:, :, None] == _OP_CLASSES).sum(axis=1)
+            columns["path_n_operators"][rows] = op_counts[:, :_NOT_A_GATE].sum(axis=1)
             for code, function in enumerate(OPERATOR_FUNCTIONS):
-                columns[f"path_n_{function.lower()}"][rows] = np.count_nonzero(ops == code, axis=1)
+                columns[f"path_n_{function.lower()}"][rows] = op_counts[:, code]
             for name, table in (("fanout", self.fanout_count), ("load", report.loads)):
                 values = table[V]
-                columns[f"path_{name}_sum"][rows] = values.sum(axis=1)
-                columns[f"path_{name}_avg"][rows] = values.mean(axis=1)
-                columns[f"path_{name}_std"][rows] = values.std(axis=1)
-            columns["path_slew_avg"][rows] = report.slews[V].mean(axis=1)
+                # ``np.mean``/``np.std`` evaluate exactly these ufuncs (sum,
+                # divide by the count, squared deviations, sum, divide, sqrt).
+                total = values.sum(axis=1)
+                mean = total / length
+                deviation = values - mean[:, None]
+                columns[f"path_{name}_sum"][rows] = total
+                columns[f"path_{name}_avg"][rows] = mean
+                columns[f"path_{name}_std"][rows] = np.sqrt((deviation * deviation).sum(axis=1) / length)
+            columns["path_slew_avg"][rows] = report.slews[V].sum(axis=1) / length
 
             group_tokens = self.token_rows[V]
             for k, row in enumerate(rows.tolist()):

@@ -63,13 +63,13 @@ _CODE_SCOPE = ("hdl", "bog", "sta", "synth", "liberty.py", "core/dataset.py")
 
 @contextlib.contextmanager
 def gc_paused() -> Iterator[None]:
-    """Suspend the cyclic GC around (de)serialization of huge object graphs.
+    """Suspend the cyclic GC around passes that allocate many containers.
 
     Unpickling a multi-megabyte DesignRecord allocates millions of container
     objects; with the collector enabled, the allocation-count heuristic fires
     repeatedly over an ever-growing live heap, making ``pickle.loads`` 3-5x
     slower.  Nothing created mid-load is garbage, so pausing the collector is
-    pure win.
+    pure win.  Path sampling (one list per sampled path) pauses it likewise.
     """
     was_enabled = gc.isenabled()
     gc.disable()

@@ -15,12 +15,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.core.features import (
-    PATH_FEATURE_NAMES,
-    PathDataset,
-    _design_statistics,
-    _endpoint_rank_percent,
-)
+from repro.core.features import PATH_FEATURE_NAMES, PathDataset, _endpoint_rank_percent
 from repro.core.path_index import TOKEN_FUNCTIONS
 from repro.core.sampling import EndpointSamples, PathSample, SamplingConfig, sample_count
 from repro.sta.engine import STAReport, arrival_delay_of
@@ -130,6 +125,16 @@ def sample_design_paths(
 # ---------------------------------------------------------------------------
 
 
+def design_statistics(network: TimingNetwork) -> Dict[str, float]:
+    n_sequential = float(network.register_count())
+    n_combinational = float(network.gate_count())
+    return {
+        "n_sequential": n_sequential,
+        "n_combinational": n_combinational,
+        "n_total": n_sequential + n_combinational,
+    }
+
+
 def path_feature_vector(
     network: TimingNetwork,
     report: STAReport,
@@ -213,7 +218,7 @@ def extract_path_dataset(
     wanted = list(endpoint_names) if endpoint_names is not None else record.endpoint_names
     samples = sample_design_paths(network, report, sampling, wanted)
 
-    design_stats = _design_statistics(network)
+    design_stats = design_statistics(network)
     rank_percent = _endpoint_rank_percent(report, wanted)
     fanouts = network.fanouts()
 
