@@ -44,8 +44,8 @@ from typing import Any, Callable, List, Optional, Sequence
 from repro.runtime import report as report_mod
 from repro.runtime.cache import (
     ArtifactCache,
-    code_paths,
     code_fingerprint,
+    code_paths,
     default_cache_dir,
     record_fingerprint,
 )

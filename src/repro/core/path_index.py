@@ -65,9 +65,9 @@ class PathIndex:
 
         fanout_count = np.diff(graph.fanout_indptr).astype(np.float64)
         self.fanout_count = fanout_count
-        self.is_gate = graph.kind == KIND_GATE
-        has_fanins = np.diff(graph.fanin_indptr) > 0
-        self._walkable: List[bool] = (self.is_gate & has_fanins).tolist()
+        is_gate = graph.kind == KIND_GATE
+        fanin_counts = np.diff(graph.fanin_indptr)
+        self._walkable: List[bool] = (is_gate & (fanin_counts > 0)).tolist()
 
         # Operator and token codes come from a per-cell table (row 0 = no
         # cell, labelled by the vertex kind instead).
@@ -85,7 +85,7 @@ class PathIndex:
         has_cell = cols.cell_row != 0
         # Operator class per vertex: a counted function, another gate, or no gate.
         self.op_code = np.where(
-            self.is_gate,
+            is_gate,
             np.where(op_of_row[cols.cell_row] >= 0, op_of_row[cols.cell_row], _OTHER_GATE),
             _NOT_A_GATE,
         ).astype(np.int8)
@@ -103,73 +103,57 @@ class PathIndex:
         self._slew_factor = cols.param("slew_factor")
         self._derate = cols.derate
 
-        self.launch_count: List[int] = self._launch_counts(graph).tolist()
-        self._critical_fanin = self._critical_fanins(graph)
+        # Every vertex with fanins, in level-major order, with its CSR fanin
+        # edges flattened in the same order (one segment per vertex).
+        owners = graph.order[fanin_counts[graph.order] > 0].astype(np.int64)
+        positions, counts = gather_edges(graph.fanin_indptr, owners)
+        sources = graph.fanin_indices[positions].astype(np.int64)
+        starts = np.zeros(owners.size, dtype=np.int64)
+        np.cumsum(counts[:-1], out=starts[1:])
+        self.launch_count: List[int] = self._launch_counts(graph, owners, sources, starts).tolist()
+        self._critical_fanin: List[int] = self._critical_fanins(n, owners, sources, counts, starts)
 
     # -- index passes ----------------------------------------------------------
 
-    @staticmethod
-    def _fanin_plan(graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
-        """Vertices with fanins in level-major order plus their flat edges.
-
-        Returns ``(seq, sources, counts, vertex_ptr, edge_ptr)``: per-level
-        slices ``seq[vertex_ptr[k]:vertex_ptr[k+1]]`` own the edge slice
-        ``sources[edge_ptr[k]:edge_ptr[k+1]]``, in CSR fanin order.
-        """
-        counts_all = np.diff(graph.fanin_indptr)
-        seq = graph.order[counts_all[graph.order] > 0].astype(np.int64)
-        positions, counts = gather_edges(graph.fanin_indptr, seq)
-        sources = graph.fanin_indices[positions].astype(np.int64)
-        levels = graph.level[seq]
-        vertex_ptr = [0, *(np.flatnonzero(np.diff(levels)) + 1).tolist(), len(seq)]
-        edge_ends = np.concatenate(([0], np.cumsum(counts)))
-        edge_ptr = edge_ends[vertex_ptr].tolist()
-        return seq, sources, counts, vertex_ptr, edge_ptr
-
-    def _launch_counts(self, graph) -> np.ndarray:
+    def _launch_counts(self, graph, owners, sources, starts) -> np.ndarray:
         """Launch points (inputs / registers) in every vertex's input cone.
 
         The cone is inclusive, as in the reference cone DFS, so a launch
-        point counts itself.  Bitsets are OR-ed over fanins level by level;
-        wide designs run the pass once per chunk of launch points.
+        point counts itself.  Bitsets are OR-ed over fanins one level at a
+        time; wide designs run the pass once per chunk of launch points.
         """
         n = graph.n
         launch = np.flatnonzero((graph.kind == KIND_INPUT) | (graph.kind == KIND_REGISTER))
         counts = np.zeros(n, dtype=np.int64)
-        if not launch.size or not n:
+        if not launch.size:
             return counts
-        seq, sources, fanin_counts, vertex_ptr, edge_ptr = self._fanin_plan(graph)
+        levels = graph.level[owners]
+        bounds = [0, *(np.flatnonzero(np.diff(levels)) + 1).tolist(), owners.size]
+        edge_bounds = np.append(starts, sources.size)[bounds].tolist()
+        per_level = [
+            (owners[v0:v1], sources[e0:e1], starts[v0:v1] - e0)
+            for v0, v1, e0, e1 in zip(bounds, bounds[1:], edge_bounds, edge_bounds[1:])
+        ]
         chunk_bits = 64 * _BITSET_WORDS
         for first in range(0, launch.size, chunk_bits):
             members = launch[first : first + chunk_bits]
             offset = np.arange(members.size)
             bits = np.zeros((n, (members.size + 63) // 64), dtype=np.uint64)
             bits[members, offset // 64] = np.left_shift(np.uint64(1), (offset % 64).astype(np.uint64))
-            for k in range(len(vertex_ptr) - 1):
-                v0, v1 = vertex_ptr[k], vertex_ptr[k + 1]
-                e0, e1 = edge_ptr[k], edge_ptr[k + 1]
-                starts = np.zeros(v1 - v0, dtype=np.int64)
-                np.cumsum(fanin_counts[v0 : v1 - 1], out=starts[1:])
-                ids = seq[v0:v1]
-                bits[ids] |= np.bitwise_or.reduceat(bits[sources[e0:e1]], starts, axis=0)
+            for ids, level_sources, level_starts in per_level:
+                bits[ids] |= np.bitwise_or.reduceat(bits[level_sources], level_starts, axis=0)
             counts += np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
         return counts
 
-    def _critical_fanins(self, graph) -> List[int]:
+    def _critical_fanins(self, n, owners, sources, counts, starts) -> List[int]:
         """Fanin of each vertex with the largest ``arrival + delay`` (first on ties)."""
-        counts_all = np.diff(graph.fanin_indptr).astype(np.int64)
-        owners = np.flatnonzero(counts_all > 0)
-        critical = np.full(graph.n, -1, dtype=np.int64)
+        critical = np.full(n, -1, dtype=np.int64)
         if owners.size:
-            positions, counts = gather_edges(graph.fanin_indptr, owners)
-            sources = graph.fanin_indices[positions].astype(np.int64)
             owner = np.repeat(owners, counts)
             report = self.report
             cand = report.arrivals[sources] + self._derate[owner] * (
                 self._base[owner] + self._slew_factor[owner] * report.slews[sources]
             )
-            starts = np.zeros(owners.size, dtype=np.int64)
-            np.cumsum(counts[:-1], out=starts[1:])
             seg_max = np.maximum.reduceat(cand, starts)
             edge = np.arange(cand.size, dtype=np.int64)
             first = np.minimum.reduceat(
