@@ -69,27 +69,19 @@ class PathIndex:
         fanin_counts = np.diff(graph.fanin_indptr)
         self._walkable: List[bool] = (is_gate & (fanin_counts > 0)).tolist()
 
-        # Operator and token codes come from a per-cell table (row 0 = no
-        # cell, labelled by the vertex kind instead).
-        cells = cols.cells
-        kind_labels = [kind.value for kind in VertexKind]
-        cell_functions = [None] + [cell.function for cell in cells[1:]]
+        # Per-cell tables (row 0 = no cell): operator class and token code.
+        functions = [cell.function for cell in cols.cells[1:]]
         op_of_row = np.array(
-            [-1] + [OPERATOR_FUNCTIONS.index(f) if f in OPERATOR_FUNCTIONS else -1 for f in cell_functions[1:]],
+            [_OTHER_GATE]
+            + [OPERATOR_FUNCTIONS.index(f) if f in OPERATOR_FUNCTIONS else _OTHER_GATE for f in functions],
             dtype=np.int8,
         )
-        token_of_row = np.array(
-            [0] + [_token_code(f) for f in cell_functions[1:]], dtype=np.int64
-        )
-        token_of_kind = np.array([_token_code(label) for label in kind_labels], dtype=np.int64)
-        has_cell = cols.cell_row != 0
+        token_of_row = np.array([0] + [_token_code(f) for f in functions])
+        token_of_kind = np.array([_token_code(kind.value) for kind in VertexKind])  # by KIND_* code
         # Operator class per vertex: a counted function, another gate, or no gate.
-        self.op_code = np.where(
-            is_gate,
-            np.where(op_of_row[cols.cell_row] >= 0, op_of_row[cols.cell_row], _OTHER_GATE),
-            _NOT_A_GATE,
-        ).astype(np.int8)
-        token_code = np.where(has_cell, token_of_row[cols.cell_row], token_of_kind[graph.kind])
+        self.op_code = np.where(is_gate, op_of_row[cols.cell_row], _NOT_A_GATE).astype(np.int8)
+        # Token label: the cell function, else the vertex kind.
+        token_code = np.where(cols.cell_row != 0, token_of_row[cols.cell_row], token_of_kind[graph.kind])
 
         width = len(TOKEN_FUNCTIONS)
         self.token_rows = np.zeros((n, width + 2))
