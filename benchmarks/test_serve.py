@@ -40,7 +40,7 @@ def test_serve_throughput(dataset_records, runtime_report, tmp_path, benchmark):
 
     service = TimingService(
         served_timer,
-        ServeConfig(max_batch=8, batch_window_s=0.01),
+        ServeConfig(max_batch=8),
         report=runtime_report,
     )
     try:

@@ -10,8 +10,10 @@ than trusting the happy path.  One campaign:
    produce — before any fault is armed;
 2. arms ``REPRO_FAULT_INJECT`` (worker crash/hang, cache corruption,
    kernel exceptions, batch failures — per-fault probability, one campaign
-   seed) and only then builds a :class:`PooledTimingService` behind the
-   real HTTP server, so forked workers inherit the faults;
+   seed) and builds a :class:`PooledTimingService` behind the real HTTP
+   server; every pool dispatch carries the faults armed at that moment, so
+   arming or clearing them reaches live workers at once and a seed replays
+   the same draws whatever the workers' respawn timing;
 3. drives concurrent HTTP traffic (registered-name predicts, raw-source
    predicts that exercise elaboration + disk cache + STA kernel, what-if
    sweeps) and checks every 200 against the oracle byte for byte;
@@ -50,7 +52,7 @@ from repro.faults import FAULT_ENV_VAR, FAULT_REGISTRY, format_faults, reset_dra
 from repro.runtime import report as report_mod
 from repro.runtime.cache import CACHE_DIR_ENV_VAR
 from repro.serve.http import prediction_to_json, start_server
-from repro.serve.service import PooledTimingService, ServeConfig
+from repro.serve.service import PooledTimingService, ServeConfig, percentile
 from repro.serve.supervisor import PoolConfig
 
 #: Schema tag of the replayable failure bundle.
@@ -280,7 +282,6 @@ def run_campaign(
             service = PooledTimingService(
                 timer,
                 config=ServeConfig(
-                    batch_window_s=0.02,
                     deadline_s=config.deadline_s,
                     # Keep the in-memory record LRU smaller than the design
                     # rotation so raw-source requests keep hitting the disk
@@ -307,9 +308,9 @@ def run_campaign(
                 _directed_ladder(
                     config, records, predict_oracle, report, host, port, result
                 )
-                # Recovery: disarm faults (fresh forks inherit the clean
-                # environment; crashed workers respawn clean) and measure
-                # how long until every design answers correctly again.
+                # Recovery: disarm faults (the next dispatch carries the
+                # clean environment to every worker) and measure how long
+                # until every design answers correctly again.
                 os.environ.pop(FAULT_ENV_VAR, None)
                 result.recovery_s = _measure_recovery(
                     config, records, predict_oracle, host, port, result
@@ -430,9 +431,9 @@ def _drive_traffic(
 
     latencies.sort()
     if latencies:
-        result.p50_s = _pct(latencies, 0.50)
-        result.p95_s = _pct(latencies, 0.95)
-        result.p99_s = _pct(latencies, 0.99)
+        result.p50_s = percentile(latencies, 0.50)
+        result.p95_s = percentile(latencies, 0.95)
+        result.p99_s = percentile(latencies, 0.99)
 
 
 def _directed_ladder(
@@ -485,8 +486,9 @@ def _directed_ladder(
             os.environ[FAULT_ENV_VAR] = format_faults({fault: 1.0}, seed=config.seed)
             for attempt in range(6):
                 if fault == "serve.batch_fail":
-                    # A batch only forms from concurrent arrivals: post the
-                    # whole design set at once from separate threads.
+                    # A batch only forms from requests that queue behind a
+                    # running model pass: post the whole design set at once
+                    # from separate threads.
                     statuses: List[Any] = [None] * len(records)
 
                     def fire(slot: int, record) -> None:
@@ -583,13 +585,6 @@ def _measure_recovery(
             time.sleep(0.1)
     finally:
         client.close()
-
-
-def _pct(sorted_values: List[float], fraction: float) -> float:
-    index = min(
-        len(sorted_values) - 1, max(0, int(round(fraction * (len(sorted_values) - 1))))
-    )
-    return sorted_values[index]
 
 
 def _finalize(

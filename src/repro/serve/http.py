@@ -23,14 +23,18 @@ which is exactly what feeds the service's micro-batching queue.  Endpoints:
     The service's :class:`~repro.runtime.report.RuntimeReport` snapshot with
     latency percentiles and realized batch size.
 
-Responses are always JSON; errors use conventional status codes with an
-``{"error": ...}`` body.
+Responses are always JSON — the stdlib's own error paths (malformed request
+line, unsupported method) included; errors use conventional status codes
+with an ``{"error": ...}`` body.  Every response leaves in one write on a
+``TCP_NODELAY`` socket: with Nagle on, a body sent after its headers would
+wait for the client's delayed ACK (tens of milliseconds per request).
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
@@ -61,6 +65,7 @@ class TimingRequestHandler(BaseHTTPRequestHandler):
 
     server: "TimingHTTPServer"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------------
 
@@ -74,14 +79,26 @@ class TimingRequestHandler(BaseHTTPRequestHandler):
         status: int = 200,
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
+        """Status line, headers and JSON body in a single write."""
         body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self.log_request(status)
+        lines = [
+            f"{self.protocol_version} {status} {self.responses.get(status, ('',))[0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+        ]
+        lines += [f"{name}: {value}" for name, value in (headers or {}).items()]
+        if self.close_connection:
+            lines.append("Connection: close")
+        self.wfile.write("\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body)
+
+    def send_error(self, code: int, message: Optional[str] = None, explain=None) -> None:
+        """The stdlib's error replies (bad request line, unknown method), as JSON."""
+        self.log_error("code %d, message %s", code, message)
+        self.close_connection = True
+        self._send_json({"error": message or self.responses.get(code, ("error",))[0]}, code)
 
     def _send_error_json(
         self, status: int, message: str, headers: Optional[Dict[str, str]] = None
@@ -177,13 +194,15 @@ class TimingRequestHandler(BaseHTTPRequestHandler):
         if payload is None:
             return
         try:
+            started = time.perf_counter()
             record = self._record_from(payload)
             if record is None:
                 return
             if self.path == "/predict":
+                record_seconds = time.perf_counter() - started
                 prediction, stats = self.server.service.predict_with_stats(record)
                 response = prediction_to_json(prediction)
-                response["serve"] = stats
+                response["serve"] = {**stats, "record_seconds": round(record_seconds, 6)}
             else:
                 k = payload.get("k")
                 if k is not None and (not isinstance(k, int) or k < 1):

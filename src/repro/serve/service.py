@@ -1,9 +1,10 @@
 """Load-once, thread-safe serving facade over :class:`RTLTimer`.
 
 A :class:`TimingService` owns one fitted timer and answers prediction
-requests from many threads.  Requests that arrive close together are
-**micro-batched**: the first request of a batch waits up to
-``batch_window_s`` for companions, then the whole group runs through one
+requests from many threads.  Batching is **work-conserving**: a free
+batcher takes everything queued (up to ``max_batch``) at once and never
+waits for companions, so requests that arrive during a model pass ride the
+next one.  Each group runs through one
 :meth:`RTLTimer.predict_batch` call — amortizing per-stage model dispatch
 and sharing the warm path-feature cache — and every caller gets exactly the
 prediction it would have gotten from a serial in-process ``predict``
@@ -64,9 +65,6 @@ class ServeConfig:
 
     #: Maximum number of requests fused into one ``predict_batch`` call.
     max_batch: int = 16
-    #: How long the first request of a batch waits for companions (seconds).
-    #: 0 disables micro-batching (every request runs alone, still async-safe).
-    batch_window_s: float = 0.005
     #: Build-on-demand records for ``/predict`` source payloads go through
     #: the content-addressed artifact cache when enabled.
     cache_records: bool = True
@@ -235,8 +233,8 @@ class TimingService:
     ) -> RTLTimerPrediction:
         """Predict one design; bit-identical to in-process ``timer.predict``.
 
-        Thread-safe: concurrent callers are fused into one batched model
-        pass when they arrive within the batching window.
+        Thread-safe: callers that queue while a model pass runs are fused
+        into the next batched pass.
         """
         prediction, _ = self.predict_with_stats(record, deadline_s=deadline_s)
         return prediction
@@ -246,7 +244,8 @@ class TimingService:
 
         Returns ``(prediction, stats)`` where ``stats`` reports the realized
         batch size, time spent queued and total service latency for *this*
-        request — the per-request view of the service-wide report.
+        request — the per-request view of the service-wide report (the HTTP
+        front end adds the time it spent resolving the record).
 
         The request is admission-controlled (:class:`RejectedError` when the
         service is saturated) and deadline-bounded
@@ -370,9 +369,9 @@ class TimingService:
             },
         }
         if latencies:
-            serving["predict_p50"] = round(_percentile(latencies, 0.50), 6)
-            serving["predict_p95"] = round(_percentile(latencies, 0.95), 6)
-            serving["predict_p99"] = round(_percentile(latencies, 0.99), 6)
+            serving["predict_p50"] = round(percentile(latencies, 0.50), 6)
+            serving["predict_p95"] = round(percentile(latencies, 0.95), 6)
+            serving["predict_p99"] = round(percentile(latencies, 0.99), 6)
         snapshot["serving"] = serving
         return snapshot
 
@@ -388,31 +387,27 @@ class TimingService:
         with self._mutex:
             latencies = sorted(self._latencies)
         if latencies:
-            merged.stages[PREDICT_P50_STAGE] = round(_percentile(latencies, 0.50), 6)
+            merged.stages[PREDICT_P50_STAGE] = round(percentile(latencies, 0.50), 6)
             merged.stage_calls[PREDICT_P50_STAGE] = len(latencies)
         return merged
 
     # -- batching worker -----------------------------------------------------------
 
     def _take_batch(self) -> Optional[List[_Request]]:
-        """Block until a batch is ready (or the service closes)."""
-        config = self.config
+        """Block until work is queued, then take all of it (up to ``max_batch``).
+
+        Work-conserving: a free batcher never waits for companions; requests
+        that arrive during a model pass are fused into the next one.
+        """
         # Clamp like the other ServeConfig knobs: max_batch <= 0 would make
         # the slice below never take anything while the queue stays
         # non-empty — a busy-spinning worker and callers blocked forever.
-        max_batch = max(config.max_batch, 1)
+        max_batch = max(self.config.max_batch, 1)
         with self._wakeup:
             while not self._queue and not self._closed:
                 self._wakeup.wait()
             if not self._queue or self._abort:
                 return None  # closed with an empty queue, or close(drain=False)
-            deadline = time.perf_counter() + config.batch_window_s
-            while (
-                len(self._queue) < max_batch
-                and not self._closed
-                and (remaining := deadline - time.perf_counter()) > 0.0
-            ):
-                self._wakeup.wait(timeout=remaining)
             batch = self._queue[:max_batch]
             del self._queue[:max_batch]
             return batch
@@ -478,7 +473,7 @@ class TimingService:
             request.done.set()
 
 
-def _percentile(sorted_values: List[float], fraction: float) -> float:
+def percentile(sorted_values: List[float], fraction: float) -> float:
     """Nearest-rank percentile of an already-sorted non-empty list."""
     index = min(len(sorted_values) - 1, max(0, int(round(fraction * (len(sorted_values) - 1)))))
     return sorted_values[index]

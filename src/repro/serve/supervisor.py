@@ -21,6 +21,12 @@ sibling is alive the request parks and is flushed to the first worker that
 comes back, which is what makes "zero lost accepted requests" hold through
 a restart storm.
 
+Every dispatch carries the parent's ``REPRO_FAULT_INJECT`` value of that
+moment, and the worker adopts it before its chaos hooks draw.  A worker's
+own environment is a snapshot taken at fork time, so without this the
+respawn timing of a crashed worker — not the seed — would decide which
+requests draw faults after the parent arms or clears them.
+
 :class:`~repro.serve.service.PooledTimingService` plugs the pool into the
 :class:`~repro.serve.service.TimingService` front end: admission,
 micro-batch queueing, deadlines and the degradation ladder stay in the
@@ -41,7 +47,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.faults import fault_fires
+from repro.faults import FAULT_ENV_VAR, fault_fires
 from repro.runtime.report import RuntimeReport
 from repro.serve.resilience import (
     Deadline,
@@ -181,6 +187,11 @@ def _worker_main(slot: int, conn, payload: bytes, config: PoolConfig) -> None:
                 if kind == "ping":
                     send(("ok", request_id, None))
                     continue
+                *args, expires_at, faults = data
+                if faults:
+                    os.environ[FAULT_ENV_VAR] = faults
+                else:
+                    os.environ.pop(FAULT_ENV_VAR, None)
                 # Chaos hooks fire before any work, exactly like a crash
                 # between accept and compute would in production.  Draws are
                 # keyed by the pool-wide request id: unique per dispatch, so
@@ -194,18 +205,13 @@ def _worker_main(slot: int, conn, payload: bytes, config: PoolConfig) -> None:
                     time.sleep(3600.0)
                 if fault_fires("worker.slow_io", token):
                     time.sleep(0.05)
-                if kind == "predict":
-                    record, expires_at = data
-                    if expires_at is not None and time.time() >= expires_at:
-                        send(("deadline", request_id, None))
-                        continue
-                    prediction = timer.predict(record)
-                    send(("ok", request_id, prediction))
+                if expires_at is not None and time.time() >= expires_at:
+                    send(("deadline", request_id, None))
+                elif kind == "predict":
+                    (record,) = args
+                    send(("ok", request_id, timer.predict(record)))
                 elif kind == "whatif":
-                    record, candidates, k, expires_at = data
-                    if expires_at is not None and time.time() >= expires_at:
-                        send(("deadline", request_id, None))
-                        continue
+                    record, candidates, k = args
                     estimates = timer.what_if(record, candidates=candidates, k=k)
                     send(("ok", request_id, estimates))
                 else:
@@ -394,7 +400,8 @@ class WorkerPool:
             worker.pending[request_id] = handle
         handle.attempts += 1
         expires_at = handle.deadline.expires_at if handle.deadline is not None else None
-        message = (handle.kind, request_id, handle.data + (expires_at,))
+        faults = os.environ.get(FAULT_ENV_VAR, "")
+        message = (handle.kind, request_id, handle.data + (expires_at, faults))
         try:
             with worker.send_lock:
                 worker.conn.send(message)

@@ -23,9 +23,42 @@ def served_timer(tiny_records):
 
 @pytest.fixture()
 def service(served_timer):
-    service = TimingService(served_timer, ServeConfig(max_batch=4, batch_window_s=0.05))
+    service = TimingService(served_timer, ServeConfig(max_batch=4))
     yield service
     service.close()
+
+
+class HeldBatcher:
+    """Blocks a service's first model pass until released.
+
+    Batching is work-conserving, so requests share a model pass only when
+    they queue behind a running one; holding the first pass makes that
+    queueing deterministic instead of a race against the batcher.
+    """
+
+    def __init__(self, service):
+        self.service = service
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.first_batch = []
+        execute = service._execute_batch
+
+        def held(batch):
+            if not self.entered.is_set():
+                self.first_batch.extend(batch)
+                self.entered.set()
+                self.release.wait(timeout=60.0)
+            return execute(batch)
+
+        service._execute_batch = held
+
+    def wait_queued(self, total: int) -> None:
+        """Wait until ``total`` requests sit in the held pass or queue behind it."""
+        deadline = time.monotonic() + 60.0
+        assert self.entered.wait(timeout=60.0), "the first model pass never started"
+        while len(self.first_batch) + len(self.service._queue) < total:
+            assert time.monotonic() < deadline, "requests never queued"
+            time.sleep(0.001)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +95,8 @@ def test_concurrent_predicts_match_serial(served_timer, tiny_records, service):
 
 
 def test_batching_counter_fires(served_timer, tiny_records, service):
-    """Concurrent requests inside the window actually share a model pass."""
+    """Requests queued behind a running model pass share the next one."""
+    held = HeldBatcher(service)
     barrier = threading.Barrier(4)
     stats = [None] * 4
 
@@ -73,8 +107,11 @@ def test_batching_counter_fires(served_timer, tiny_records, service):
     threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
     for thread in threads:
         thread.start()
+    held.wait_queued(4)
+    held.release.set()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=60.0)
+    assert not any(thread.is_alive() for thread in threads)
 
     counters = service.report.counters
     assert counters["serve_requests"] == 4
@@ -85,30 +122,40 @@ def test_batching_counter_fires(served_timer, tiny_records, service):
 
 
 def test_requests_above_max_batch_split(served_timer, tiny_records):
-    service = TimingService(served_timer, ServeConfig(max_batch=2, batch_window_s=0.05))
+    service = TimingService(served_timer, ServeConfig(max_batch=2))
+    held = HeldBatcher(service)
     try:
         barrier = threading.Barrier(5)
         results = [None] * 5
+        stats = [None] * 5
 
         def run(index):
             barrier.wait()
-            results[index] = service.predict(tiny_records[index % len(tiny_records)])
+            results[index], stats[index] = service.predict_with_stats(
+                tiny_records[index % len(tiny_records)]
+            )
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(5)]
         for thread in threads:
             thread.start()
+        held.wait_queued(5)
+        held.release.set()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
         assert all(result is not None for result in results)
         assert service.report.counters["serve_requests"] == 5
         assert service.report.counters["serve_batches"] >= 3  # ceil(5 / 2)
+        # Everything queued behind the held pass: the queue drains in
+        # max_batch slices.
+        assert max(s["batch_size"] for s in stats) == 2
     finally:
         service.close()
 
 
 def test_nonpositive_max_batch_is_clamped(served_timer, tiny_records):
     """max_batch=0 must not busy-spin the worker and hang every caller."""
-    service = TimingService(served_timer, ServeConfig(max_batch=0, batch_window_s=0.0))
+    service = TimingService(served_timer, ServeConfig(max_batch=0))
     try:
         prediction = service.predict(tiny_records[0])
         assert prediction.design == tiny_records[0].name
@@ -118,7 +165,7 @@ def test_nonpositive_max_batch_is_clamped(served_timer, tiny_records):
 
 
 def test_predict_after_close_raises(served_timer, tiny_records):
-    service = TimingService(served_timer, ServeConfig(batch_window_s=0.0))
+    service = TimingService(served_timer)
     service.close()
     with pytest.raises(RuntimeError, match="closed"):
         service.predict(tiny_records[0])
@@ -164,7 +211,7 @@ def test_service_record_cache(served_timer, simple_source, tmp_path, monkeypatch
 
 @pytest.fixture()
 def http_server(served_timer, tiny_records):
-    service = TimingService(served_timer, ServeConfig(max_batch=4, batch_window_s=0.02))
+    service = TimingService(served_timer, ServeConfig(max_batch=4))
     server = start_server(service, port=0)
     for record in tiny_records:
         server.register_record(record)
@@ -345,7 +392,7 @@ def test_http_chunked_body_rejected(http_server):
 def test_http_shed_request_gets_429_with_retry_after(served_timer, tiny_records):
     service = TimingService(
         served_timer,
-        ServeConfig(batch_window_s=0.0, queue_max=1, retry_after_s=2.5),
+        ServeConfig(queue_max=1, retry_after_s=2.5),
     )
     server = start_server(service, port=0)
     for record in tiny_records:
@@ -370,18 +417,26 @@ def test_http_shed_request_gets_429_with_retry_after(served_timer, tiny_records)
 
 
 def test_http_expired_deadline_gets_504(served_timer, tiny_records):
-    service = TimingService(
-        served_timer, ServeConfig(batch_window_s=0.05, deadline_s=1e-6)
-    )
+    service = TimingService(served_timer, ServeConfig(deadline_s=1e-6))
+    held = HeldBatcher(service)
     server = start_server(service, port=0)
     for record in tiny_records:
         server.register_record(record)
+    # A long-deadline request occupies the batcher, so the HTTP request
+    # waits in the queue until its deadline expires.
+    blocker = threading.Thread(
+        target=service.predict, args=(tiny_records[1],), kwargs={"deadline_s": 60.0}
+    )
+    blocker.start()
     try:
+        held.wait_queued(1)
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(server, "/predict", {"name": tiny_records[0].name})
         assert excinfo.value.code == 504
         assert service.report.counters.get("serve_deadline_timeouts", 0) >= 1
     finally:
+        held.release.set()
+        blocker.join(timeout=60.0)
         server.shutdown()
         service.close()
 
@@ -390,7 +445,7 @@ def test_close_drains_inflight_requests(served_timer, tiny_records):
     """predicts racing close(): every caller gets a prediction or a clean
     'closed' error — nobody hangs, nothing is silently dropped."""
     for attempt in range(3):  # several interleavings of the race
-        service = TimingService(served_timer, ServeConfig(batch_window_s=0.01))
+        service = TimingService(served_timer)
         outcomes = []
         barrier = threading.Barrier(5)
 
@@ -422,7 +477,8 @@ def test_close_drains_inflight_requests(served_timer, tiny_records):
 
 
 def test_close_without_drain_aborts_queued_requests(served_timer, tiny_records):
-    service = TimingService(served_timer, ServeConfig(batch_window_s=5.0))
+    service = TimingService(served_timer)
+    held = HeldBatcher(service)
     errors = []
 
     def run():
@@ -432,13 +488,22 @@ def test_close_without_drain_aborts_queued_requests(served_timer, tiny_records):
         except RuntimeError as exc:
             errors.append(exc)
 
+    blocker = threading.Thread(target=service.predict, args=(tiny_records[1],))
+    blocker.start()
+    held.wait_queued(1)
     thread = threading.Thread(target=run)
     thread.start()
-    time.sleep(0.1)  # let the request enter the (long) batch window
-    service.close(drain=False, timeout=10.0)
+    held.wait_queued(2)  # the request waits behind the held model pass
+    # The batcher is still busy, so the join times out and close() fails
+    # the queued request itself.
+    service.close(drain=False, timeout=0.2)
     thread.join(timeout=10.0)
+    held.release.set()
+    blocker.join(timeout=10.0)
     assert not thread.is_alive()
+    assert not blocker.is_alive()
     assert len(errors) == 1  # answered either way; an abort error is legal
+    assert "closed" in str(errors[0])
 
 
 def test_cold_source_requests_never_fingerprint_records(
@@ -488,3 +553,163 @@ def test_load_or_build_record_stamps_key_and_drops_stale_fingerprint(simple_sour
     assert "_feature_fingerprint" not in loaded.__dict__
     assert loaded.__dict__["_content_key"] == key
     assert load_or_build_record(simple_source, "simple", None).__dict__["_content_key"] == key
+
+
+# ---------------------------------------------------------------------------
+# Transport: one write per response, TCP_NODELAY, JSON everywhere
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def counted_writes(monkeypatch):
+    """Record every ``wfile.write`` and the TCP_NODELAY flag of each connection."""
+    import socket
+
+    from repro.serve.http import TimingRequestHandler
+
+    writes, nodelay = [], []
+    setup = TimingRequestHandler.setup
+
+    class CountingWriter:
+        def __init__(self, raw):
+            self.raw = raw
+
+        def write(self, data):
+            writes.append(bytes(data))
+            return self.raw.write(data)
+
+        def __getattr__(self, name):  # flush, closed, ... of the socket writer
+            return getattr(self.raw, name)
+
+    def counting_setup(handler):
+        setup(handler)
+        nodelay.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        handler.wfile = CountingWriter(handler.wfile)
+
+    monkeypatch.setattr(TimingRequestHandler, "setup", counting_setup)
+    return writes, nodelay
+
+
+def test_keepalive_health_round_trips_do_not_stall(http_server):
+    """Back-to-back requests on one connection pay no delayed-ACK stall."""
+    import http.client
+
+    host, port = http_server.server_address
+    conn = http.client.HTTPConnection(host, port, timeout=30.0)
+    try:
+        elapsed = []
+        for _ in range(30):
+            started = time.perf_counter()
+            conn.request("GET", "/health")
+            response = conn.getresponse()
+            assert json.loads(response.read())["status"] == "ok"
+            elapsed.append(time.perf_counter() - started)
+    finally:
+        conn.close()
+    assert sorted(elapsed)[len(elapsed) // 2] < 0.010
+
+
+def test_every_response_status_is_one_write(
+    counted_writes, served_timer, tiny_records, monkeypatch
+):
+    import http.client
+
+    from repro.serve.http import MAX_BODY_BYTES
+
+    writes, _ = counted_writes
+    service = TimingService(served_timer, ServeConfig(queue_max=1))
+    server = start_server(service, port=0)
+    for record in tiny_records:
+        server.register_record(record)
+    host, port = server.server_address
+
+    def exchange(method, path, body=None, headers=None):
+        writes.clear()
+        conn = http.client.HTTPConnection(host, port, timeout=30.0)
+        try:
+            conn.request(method, path, body=body, headers=headers or {})
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        return response.status, payload
+
+    def broken_metrics():
+        raise RuntimeError("scrape failed")
+
+    try:
+        name = json.dumps({"name": tiny_records[0].name})
+        cases = [
+            (200, lambda: exchange("POST", "/predict", name)),
+            (400, lambda: exchange("POST", "/predict", "this is not json")),
+            (404, lambda: exchange("GET", "/nope")),
+            (
+                413,
+                lambda: exchange(
+                    "POST", "/predict", "x", {"Content-Length": str(MAX_BODY_BYTES + 1)}
+                ),
+            ),
+            (501, lambda: exchange("PUT", "/predict", name)),
+        ]
+        for status, send in cases:
+            got, payload = send()
+            assert got == status, payload
+            assert len(writes) == 1, (status, writes)
+            assert writes[0].startswith(f"HTTP/1.1 {status} ".encode())
+        slot = service.admission.admit("predict")
+        try:
+            got, payload = exchange("POST", "/predict", name)
+        finally:
+            slot.__exit__(None, None, None)
+        assert got == 429 and "error" in payload
+        assert len(writes) == 1 and b"\r\nRetry-After: " in writes[0]
+        monkeypatch.setattr(service, "metrics", broken_metrics)
+        got, payload = exchange("GET", "/metrics")
+        assert got == 500 and "scrape failed" in payload["error"]
+        assert len(writes) == 1
+    finally:
+        server.shutdown()
+        service.close()
+
+
+def test_accepted_socket_has_tcp_nodelay(counted_writes, http_server):
+    _, nodelay = counted_writes
+    assert _get(http_server, "/health")["status"] == "ok"
+    assert nodelay and all(flag for flag in nodelay)
+
+
+def test_unsupported_method_answers_json(http_server):
+    request = urllib.request.Request(
+        _url(http_server, "/predict"), data=b"{}", method="PUT"
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request)
+    assert excinfo.value.code == 501
+    assert excinfo.value.headers["Content-Type"] == "application/json"
+    assert excinfo.value.headers["Connection"] == "close"
+    assert "PUT" in json.loads(excinfo.value.read())["error"]
+
+
+def test_bad_http_version_answers_json(http_server):
+    import socket
+
+    with socket.create_connection(http_server.server_address, timeout=30.0) as sock:
+        sock.sendall(b"GET /health HTTP/x.y\r\n\r\n")
+        chunks = []
+        while chunk := sock.recv(65536):  # the server closes after the reply
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    assert status_line.startswith("HTTP/1.1 400 ")
+    assert "Content-Type: application/json" in header_lines
+    assert "Connection: close" in header_lines
+    assert "version" in json.loads(body)["error"]
+
+
+def test_predict_stats_report_record_seconds(http_server, tiny_records, simple_source):
+    registered = _post(http_server, "/predict", {"name": tiny_records[0].name})["serve"]
+    built = _post(http_server, "/predict", {"source": simple_source, "name": "simple"})["serve"]
+    for stats in (registered, built):
+        assert {"batch_size", "queue_seconds", "latency_seconds", "record_seconds"} <= set(stats)
+        assert stats["record_seconds"] >= 0.0
+    assert built["record_seconds"] > 0.0

@@ -90,6 +90,24 @@ def test_pool_recovers_from_sigkill(pool_timer, pool_payload, tiny_records):
     assert report.counters.get("serve_worker_restarts", 0) >= 1
 
 
+def test_dispatch_carries_the_parent_fault_environment(
+    pool_timer, pool_payload, tiny_records, monkeypatch
+):
+    """Faults cleared after the fork no longer fire in live workers.
+
+    A worker's environment is a fork-time snapshot; the dispatch carries
+    the parent's current faults so respawn timing cannot decide the draws.
+    """
+    monkeypatch.setenv(FAULT_ENV_VAR, "worker.crash")
+    report = RuntimeReport()
+    with WorkerPool(lambda: pool_payload, _fast_pool_config(), report=report) as pool:
+        monkeypatch.delenv(FAULT_ENV_VAR)
+        record = tiny_records[0]
+        pooled = pool.submit("predict", record).result()
+        assert pooled.signal_slack == pool_timer.predict(record).signal_slack
+    assert report.counters.get("serve_worker_deaths", 0) == 0
+
+
 def test_pool_parks_requests_when_all_workers_down(pool_timer, pool_payload, tiny_records):
     """With every worker dead, accepted requests wait and then complete."""
     report = RuntimeReport()
@@ -153,7 +171,7 @@ def test_pool_close_is_idempotent_and_fails_pending(pool_payload):
 def test_pooled_service_bit_identical(pool_timer, tiny_records):
     service = PooledTimingService(
         pool_timer,
-        ServeConfig(max_batch=4, batch_window_s=0.02),
+        ServeConfig(max_batch=4),
         pool_config=_fast_pool_config(),
     )
     try:
@@ -174,7 +192,7 @@ def test_pooled_service_survives_crash_faults(pool_timer, tiny_records, monkeypa
     monkeypatch.setenv(FAULT_ENV_VAR, "worker.crash:p=0.3:seed=11")
     service = PooledTimingService(
         pool_timer,
-        ServeConfig(max_batch=4, batch_window_s=0.01),
+        ServeConfig(max_batch=4),
         pool_config=_fast_pool_config(),
     )
     try:
