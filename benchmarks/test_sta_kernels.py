@@ -33,7 +33,7 @@ from repro.bog.simulate import (
     unpack_lane,
 )
 from repro.runtime import activate
-from repro.sta.engine import analyze
+from repro.sta.engine import analyze, analyze_reference
 
 
 def _by_gate_count(records):
@@ -65,8 +65,8 @@ def test_array_kernel_bit_identical_across_suite(dataset_records, runtime_report
     with activate(runtime_report), runtime_report.stage("sta.kernel_equivalence"):
         for record in dataset_records:
             network = record.synthesis.netlist
-            array = analyze(network, record.clock, kernel="array")
-            reference = analyze(network, record.clock, kernel="reference")
+            array = analyze(network, record.clock)
+            reference = analyze_reference(network, record.clock)
             assert np.array_equal(array.loads, reference.loads), record.name
             assert np.array_equal(array.arrivals, reference.arrivals), record.name
             assert np.array_equal(array.slews, reference.slews), record.name
@@ -89,15 +89,13 @@ def test_array_kernel_speedup_on_largest_design(
 
         with runtime_report.stage("sta.analyze_array"):
             array_seconds = benchmark.pedantic(
-                lambda: _best_of(
-                    lambda: analyze(network, record.clock, kernel="array"), rounds=7
-                ),
+                lambda: _best_of(lambda: analyze(network, record.clock), rounds=7),
                 rounds=1,
                 iterations=1,
             )
         with runtime_report.stage("sta.analyze_reference"):
             reference_seconds = _best_of(
-                lambda: analyze(network, record.clock, kernel="reference"), rounds=3
+                lambda: analyze_reference(network, record.clock), rounds=3
             )
 
     speedup = reference_seconds / max(array_seconds, 1e-9)

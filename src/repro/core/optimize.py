@@ -39,12 +39,7 @@ from repro.core.dataset import DesignRecord
 from repro.core.metrics import DEFAULT_GROUP_FRACTIONS
 from repro.incremental.whatif import WhatIfConfig, WhatIfEstimate
 from repro.optimize.search import SearchConfig, run_search
-from repro.optimize.space import (
-    cached_synthesize as _cached_synthesize_impl,
-    canonical_option_key,
-    options_from_ranking,
-    synthesis_key,
-)
+from repro.optimize.space import cached_synthesize, canonical_option_key, options_from_ranking
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.report import incr as _incr, stage as _stage
 from repro.sta.constraints import ClockConstraint
@@ -196,23 +191,6 @@ def generate_candidates(
     return candidates
 
 
-def _synthesis_key(
-    record: DesignRecord, clock: ClockConstraint, options: SynthesisOptions, seed: int
-) -> str:
-    """Backward-compatible alias of :func:`repro.optimize.space.synthesis_key`."""
-    return synthesis_key(record, clock, options, seed)
-
-
-def _cached_synthesize(
-    record: DesignRecord,
-    clock: ClockConstraint,
-    options: SynthesisOptions,
-    seed: int,
-    cache: Optional[ArtifactCache],
-) -> SynthesisResult:
-    return _cached_synthesize_impl(record, clock, options, seed, cache)
-
-
 def ranking_from_labels(record: DesignRecord) -> List[str]:
     """Ground-truth signal ranking (most critical first) from the labels."""
     labels = record.signal_labels()
@@ -274,8 +252,8 @@ def run_optimization_sweep(
         _incr("optimize_candidates", len(estimates))
 
     with _stage("optimize.synthesis"):
-        default = _cached_synthesize(record, clock, SynthesisOptions(seed=seed), seed, cache)
-        optimized = _cached_synthesize(record, clock, candidates[chosen_index], seed, cache)
+        default = cached_synthesize(record, clock, SynthesisOptions(seed=seed), seed, cache)
+        optimized = cached_synthesize(record, clock, candidates[chosen_index], seed, cache)
 
     return OptimizationOutcome(
         design=record.name,

@@ -42,7 +42,7 @@ class SignalwiseConfig:
     ranker_depth: int = 4
     relevance_levels: int = 4
     splitter: str = "hist"  # tree split finding: "hist" | "exact"
-    max_bins: Optional[int] = None  # histogram bin budget (None = REPRO_GBM_BINS)
+    max_bins: Optional[int] = None  # histogram bin budget (None = 256)
     seed: int = 0
 
 

@@ -11,7 +11,7 @@ Two subsystems prove themselves against injected faults:
 * the **resilient serving runtime** (:mod:`repro.serve.supervisor` /
   :mod:`repro.serve.resilience`) claims availability under component loss.
   Probabilistic faults (worker crash/hang, slow IO, cache corruption,
-  kernel exceptions) let the chaos harness (``python -m repro chaos``)
+  batch failures) let the chaos harness (``python -m repro chaos``)
   drive real traffic through a service whose components keep failing, and
   assert the recovery invariants.
 
@@ -65,9 +65,6 @@ Availability (crashes and slowdowns, each survived by the serving runtime):
 * ``cache.corrupt_entry`` — an :class:`~repro.runtime.cache.ArtifactCache`
   read returns bit-flipped bytes; the cache treats the entry as corrupt
   (counted, deleted, rebuilt) and the caller recomputes.
-* ``kernel.exception`` — the array STA kernel raises instead of sweeping;
-  the serving layer's kernel circuit breaker falls back to the bit-identical
-  ``reference`` kernel.
 * ``serve.batch_fail`` — a multi-request micro-batch raises before the
   model pass; the service degrades to serial per-request predicts
   (bit-identical, only slower).
@@ -105,7 +102,6 @@ FAULT_REGISTRY: Dict[str, str] = {
     "worker.hang": "serve pool worker sleeps forever inside a request",
     "worker.slow_io": "serve pool worker sleeps briefly before answering",
     "cache.corrupt_entry": "ArtifactCache read returns bit-flipped bytes",
-    "kernel.exception": "array STA kernel raises instead of sweeping",
     "serve.batch_fail": "multi-request micro-batch raises before the model pass",
     "parallel.worker_crash": "dataset-build pool worker exits hard",
 }

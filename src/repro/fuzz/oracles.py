@@ -58,7 +58,7 @@ from repro.hdl.interpret import Interpreter
 from repro.incremental.engine import IncrementalSTA
 from repro.incremental.patches import AddExtraLoad, RewireFanins, SetDerate, SwapCell
 from repro.incremental.whatif import WhatIfConfig, patches_for_options
-from repro.ml.tree import DecisionTreeRegressor, NewtonTreeRegressor, resolve_max_bins
+from repro.ml.tree import MAX_BINS, DecisionTreeRegressor, NewtonTreeRegressor
 from repro.optimize.artifact import canonical_payload
 from repro.optimize.pareto import dominates
 from repro.optimize.search import SearchConfig, run_search
@@ -67,22 +67,13 @@ from repro.runtime.cache import ArtifactCache, record_fingerprint
 from repro.runtime.parallel import parallel_build_records
 from repro.sta.constraints import ClockConstraint
 from repro.sta.engine import analyze as sta_analyze
+from repro.sta.engine import analyze_reference
 from repro.sta.network import VertexKind, from_bog
 
 #: Numeric tolerance of the incremental-vs-full oracle (matches the
-#: property tests in ``tests/test_incremental.py``; both paths share
-#: ``propagate_vertex`` so agreement is bit-for-bit in practice).
+#: property tests in ``tests/test_incremental.py``; both paths run the
+#: same array kernel so agreement is bit-for-bit in practice).
 STA_TOLERANCE = 1e-9
-
-def _gbm_row_cap() -> int:
-    """Row cap for the splitter-equivalence fit.
-
-    At most as many rows as the *effective* histogram bin budget
-    (``REPRO_GBM_BINS``-aware) keeps every feature column's distinct-value
-    count within the budget, the regime where histogram and exact splits are
-    defined to coincide.
-    """
-    return resolve_max_bins()
 
 
 @dataclass(frozen=True)
@@ -264,10 +255,12 @@ def hist_vs_exact_gbm(ctx: FuzzContext, rng: random.Random) -> List[str]:
     X = np.asarray(dataset.features, dtype=float)
     if len(X) < 2:
         return []
-    row_cap = _gbm_row_cap()
-    if len(X) > row_cap:
-        X = X[:row_cap]
-        groups = dataset.groups[:row_cap]
+    # At most as many rows as the histogram bin budget keeps every feature
+    # column's distinct-value count within the budget, the regime where
+    # histogram and exact splits are defined to coincide.
+    if len(X) > MAX_BINS:
+        X = X[:MAX_BINS]
+        groups = dataset.groups[:MAX_BINS]
     else:
         groups = dataset.groups
     X = _dyadic(X)
@@ -357,8 +350,8 @@ def array_vs_reference_sta(ctx: FuzzContext, rng: random.Random) -> List[str]:
             vertex = network.vertices[rng.randrange(n)]
             vertex.derate = rng.uniform(0.4, 1.6)
             vertex.extra_load = rng.uniform(0.0, 6.0)
-        reference = sta_analyze(network, clock, kernel="reference")
-        array = sta_analyze(network, clock, kernel="array")
+        reference = analyze_reference(network, clock)
+        array = sta_analyze(network, clock)
         for label, ref_values, array_values in (
             ("loads", reference.loads, array.loads),
             ("arrivals", reference.arrivals, array.arrivals),

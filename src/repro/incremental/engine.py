@@ -8,19 +8,20 @@ re-propagating the whole graph, it
 1. recomputes the output load of exactly the vertices a patch declares
    load-dirty, summing the contributions in the same order as
    :func:`repro.sta.engine.compute_loads` so the result is bit-identical,
-2. seeds a worklist with the patches' dirty vertices and re-propagates
-   arrivals/slews forward in topological order, using the frozen values of
-   the previous report outside the affected cone, and stopping a branch as
-   soon as a recomputed vertex reproduces its old arrival *and* slew exactly,
+2. buckets the patches' dirty vertices by logic level and re-sweeps them
+   level by level with the full analysis' array kernel, using the frozen
+   values of the previous report outside the affected cone, and stopping a
+   branch as soon as a recomputed vertex reproduces its old arrival *and*
+   slew exactly,
 3. rebuilds only the endpoint timings whose driver arrival changed and
    re-derives WNS/TNS.
 
-Because step 2 applies the same per-vertex update rule
-(:func:`repro.sta.engine.propagate_vertex`) to the same operands in the same
+Because step 2 applies the same kernel to the same operands in the same
 order as a full :func:`~repro.sta.engine.analyze` run, the incremental
 report matches a from-scratch re-analysis of the patched network exactly —
 the property tests in ``tests/test_incremental.py`` check agreement to 1e-9
-over random patch sequences.
+over random patch sequences, and ``tests/sta_oracle.py`` holds the
+per-vertex worklist it must match vertex for vertex.
 
 The :meth:`IncrementalSTA.what_if` context manager applies a patch set,
 yields the re-timed report, and reverts the patches on exit, which makes
@@ -46,8 +47,6 @@ from repro.sta.engine import (
     STAReport,
     analyze,
     endpoint_timing,
-    propagate_vertex,
-    resolve_kernel,
     summarize_slacks,
 )
 from repro.sta.network import TimingNetwork
@@ -173,35 +172,6 @@ class IncrementalSTA:
             total += vertices[vertex_id].extra_load
         return total
 
-    def _propagate_reference(
-        self, seeds: Set[int], fanouts, position, arrivals, slews, loads
-    ):
-        """Per-vertex dirty-cone worklist over :func:`propagate_vertex`."""
-        heap = [(int(position[v]), v) for v in seeds]
-        heapq.heapify(heap)
-        queued: Set[int] = set(seeds)
-        changed_drivers: Set[int] = set()
-        recomputed = 0
-        network = self.network
-        while heap:
-            _, vertex_id = heapq.heappop(heap)
-            queued.discard(vertex_id)
-            vertex = network.vertices[vertex_id]
-            arrival, slew = propagate_vertex(
-                vertex, self.clock, arrivals, slews, loads[vertex_id]
-            )
-            recomputed += 1
-            if arrival == arrivals[vertex_id] and slew == slews[vertex_id]:
-                continue  # downstream values are unchanged by construction
-            arrivals[vertex_id] = arrival
-            slews[vertex_id] = slew
-            changed_drivers.add(vertex_id)
-            for consumer in fanouts[vertex_id]:
-                if consumer not in queued:
-                    queued.add(consumer)
-                    heapq.heappush(heap, (int(position[consumer]), consumer))
-        return changed_drivers, recomputed
-
     def _columns_for(self, compiled, dirty: Set[int]) -> AttributeColumns:
         """Cached attribute columns, with the patch-touched rows re-gathered.
 
@@ -226,7 +196,8 @@ class IncrementalSTA:
         re-evaluated with one :meth:`~repro.sta.csr.CSRTimingGraph.sweep`
         call; consumers of vertices whose values changed join the bucket of
         their (strictly higher) level.  Visit set, early stopping and every
-        float are identical to the reference worklist.
+        float are identical to the per-vertex worklist of
+        ``tests/sta_oracle.py``.
         """
         compiled = self.network.compiled()
         cols = self._columns_for(compiled, seeds)
@@ -280,11 +251,8 @@ class IncrementalSTA:
 
         with report_mod.stage("incremental.propagate"):
             # Structural patches invalidated the adjacency caches on apply;
-            # these calls rebuild them once if needed (raising on a cycle).
+            # this call rebuilds them once if needed (raising on a cycle).
             fanouts = network.fanouts()
-            topo = network.topological_order()
-            position = np.empty(n, dtype=np.int64)
-            position[topo] = np.arange(n)
 
             dirty_delay: Set[int] = set()
             dirty_load: Set[int] = set()
@@ -302,14 +270,9 @@ class IncrementalSTA:
                     loads[vertex_id] = self._recompute_load(vertex_id, fanouts, endpoint_caps)
 
             seeds = dirty_delay | dirty_load
-            if resolve_kernel() == "array":
-                changed_drivers, recomputed = self._propagate_array(
-                    seeds, arrivals, slews, loads
-                )
-            else:
-                changed_drivers, recomputed = self._propagate_reference(
-                    seeds, fanouts, position, arrivals, slews, loads
-                )
+            changed_drivers, recomputed = self._propagate_array(
+                seeds, arrivals, slews, loads
+            )
 
             endpoints = [
                 endpoint_timing(endpoint, self.clock, arrivals)

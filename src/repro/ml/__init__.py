@@ -10,7 +10,6 @@ from repro.ml.preprocessing import (
     train_test_split,
 )
 from repro.ml.tree import (
-    BINS_ENV_VAR,
     BinnedMatrix,
     DecisionTreeRegressor,
     FlatTree,
@@ -46,7 +45,6 @@ __all__ = [
     "group_kfold",
     "leave_one_group_out",
     "train_test_split",
-    "BINS_ENV_VAR",
     "BinnedMatrix",
     "DecisionTreeRegressor",
     "FlatTree",

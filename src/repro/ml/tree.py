@@ -4,7 +4,7 @@ Two splitters are available, selectable with ``splitter=``:
 
 * ``"hist"`` (default) — LightGBM-style histogram split finding: every
   feature column is bucketed once per ``fit`` into at most 256 bins
-  (``REPRO_GBM_BINS`` overrides the budget), per-bin statistics are
+  (``max_bins=`` lowers the budget), per-bin statistics are
   accumulated with ``np.bincount`` and child histograms are derived from the
   parent with the histogram-subtraction trick, so each node costs one pass
   over its rows instead of one argsort per feature.
@@ -24,7 +24,6 @@ per-sample gradients/hessians (XGBoost-style boosting).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -32,9 +31,6 @@ import numpy as np
 
 from repro.faults import fault_active
 from repro.ml.base import Estimator, as_1d_array, as_2d_array
-
-#: Environment variable overriding the histogram bin budget per feature.
-BINS_ENV_VAR = "REPRO_GBM_BINS"
 
 #: Hard ceiling on the bin budget — bin codes must fit in uint8.
 MAX_BINS = 256
@@ -44,12 +40,9 @@ SPLITTERS = ("hist", "exact")
 
 
 def resolve_max_bins(max_bins: Optional[int] = None) -> int:
-    """Effective bin budget: explicit argument, else ``REPRO_GBM_BINS``, else 256."""
+    """Effective bin budget: the explicit argument clamped to 2..256, else 256."""
     if max_bins is None:
-        try:
-            max_bins = int(os.environ.get(BINS_ENV_VAR, str(MAX_BINS)))
-        except ValueError:
-            max_bins = MAX_BINS
+        return MAX_BINS
     return min(max(int(max_bins), 2), MAX_BINS)
 
 

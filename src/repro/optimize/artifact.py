@@ -23,7 +23,6 @@ from typing import List, Optional
 
 from repro.faults import FAULT_ENV_VAR
 from repro.optimize.search import SearchConfig, SearchResult, run_search
-from repro.sta.engine import STA_KERNEL_ENV_VAR
 
 #: Schema tag of the run artifact.
 OPTIMIZE_RUN_SCHEMA = "repro-optimize-run/1"
@@ -67,7 +66,6 @@ def build_artifact(result: SearchResult, record=None) -> dict:
     payload["source"] = getattr(record, "source", None)
     payload["front_hypervolume"] = result.front_hypervolume()
     payload["environment"] = {
-        "sta_kernel": os.environ.get(STA_KERNEL_ENV_VAR, ""),
         "jobs": os.environ.get("REPRO_JOBS", ""),
         "fault_inject": os.environ.get(FAULT_ENV_VAR, ""),
     }

@@ -9,14 +9,14 @@ than trusting the happy path.  One campaign:
    computes the **healthy oracle** — the exact JSON every request must
    produce — before any fault is armed;
 2. arms ``REPRO_FAULT_INJECT`` (worker crash/hang, cache corruption,
-   kernel exceptions, batch failures — per-fault probability, one campaign
-   seed) and builds a :class:`PooledTimingService` behind the real HTTP
-   server; every pool dispatch carries the faults armed at that moment, so
-   arming or clearing them reaches live workers at once and a seed replays
-   the same draws whatever the workers' respawn timing;
+   batch failures — per-fault probability, one campaign seed) and builds
+   a :class:`PooledTimingService` behind the real HTTP server; every pool
+   dispatch carries the faults armed at that moment, so arming or clearing
+   them reaches live workers at once and a seed replays the same draws
+   whatever the workers' respawn timing;
 3. drives concurrent HTTP traffic (registered-name predicts, raw-source
-   predicts that exercise elaboration + disk cache + STA kernel, what-if
-   sweeps) and checks every 200 against the oracle byte for byte;
+   predicts that exercise elaboration + the disk cache, what-if sweeps)
+   and checks every 200 against the oracle byte for byte;
 4. runs a **directed ladder sweep** — each configured fault armed alone at
    probability 1 with traffic shaped to hit it — so "every degradation
    step exercised" holds on every seed, not just lucky ones;
@@ -71,7 +71,6 @@ DEFAULT_FAULTS: Dict[str, float] = {
     "worker.crash": 0.08,
     "worker.hang": 0.03,
     "cache.corrupt_entry": 0.3,
-    "kernel.exception": 0.3,
     "serve.batch_fail": 0.15,
 }
 
@@ -83,7 +82,6 @@ FAULT_EVIDENCE: Dict[str, Sequence[str]] = {
     "worker.hang": ("serve_worker_restarts",),
     "worker.slow_io": (),
     "cache.corrupt_entry": ("cache_corrupt", "serve_degraded_cache_recompute"),
-    "kernel.exception": ("serve_degraded_kernel_reference",),
     "serve.batch_fail": ("serve_degraded_serial_predict",),
 }
 
@@ -102,7 +100,7 @@ class ChaosConfig:
     recovery_timeout_s: float = 20.0
     availability_floor: float = 0.99
     #: every Nth request posts raw Verilog source (elaboration + disk cache
-    #: + STA kernel path); every Mth runs a what-if sweep.
+    #: path); every Mth runs a what-if sweep.
     raw_source_every: int = 5
     whatif_every: int = 9
     hang_timeout_s: float = 1.0
@@ -285,7 +283,7 @@ def run_campaign(
                     deadline_s=config.deadline_s,
                     # Keep the in-memory record LRU smaller than the design
                     # rotation so raw-source requests keep hitting the disk
-                    # cache (where corruption + kernel faults live).
+                    # cache (where corruption faults live).
                     record_cache_entries=1,
                 ),
                 report=report,
@@ -526,19 +524,6 @@ def _directed_ladder(
                                 {"source": record.source, "name": record.name},
                             )
                             check(f"{fault}[{attempt}]", record, status, body)
-                elif fault == "kernel.exception":
-                    # Whitespace-padded source changes the cache key, forcing
-                    # a fresh elaboration + STA build through the kernel
-                    # fallback guard (a plain repeat would be a cache hit).
-                    record = records[attempt % len(records)]
-                    status, body = client.post(
-                        "/predict",
-                        {
-                            "source": record.source + "\n" * (attempt + 1),
-                            "name": record.name,
-                        },
-                    )
-                    check(f"{fault}[{attempt}]", record, status, body)
                 else:  # worker.crash / worker.hang / worker.slow_io
                     record = records[attempt % len(records)]
                     status, body = client.post("/predict", {"name": record.name})
@@ -600,7 +585,6 @@ def _finalize(
         for name in (
             "serve_worker_restarts",
             "serve_request_retries",
-            "serve_degraded_kernel_reference",
             "serve_degraded_cache_recompute",
             "serve_degraded_serial_predict",
             "serve_pool_local_fallbacks",

@@ -39,6 +39,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
 from repro.core.pipeline import RTLTimerPrediction
+from repro.hdl.design import AnalysisError
+from repro.hdl.lexer import LexerError
+from repro.hdl.parser import ParseError
 from repro.serve.resilience import DeadlineExceeded, RejectedError, WorkerUnavailable
 from repro.serve.service import TimingService
 
@@ -233,6 +236,8 @@ class TimingRequestHandler(BaseHTTPRequestHandler):
             self._send_error_json(504, str(exc) or "request deadline expired")
         except WorkerUnavailable as exc:
             self._send_error_json(503, str(exc) or "no serving worker available")
+        except (LexerError, ParseError, AnalysisError) as exc:  # malformed source
+            self._send_error_json(422, f"{type(exc).__name__}: {exc}")
         except Exception as exc:  # a broken request must not kill the thread
             self._send_error_json(500, f"{type(exc).__name__}: {exc}")
 

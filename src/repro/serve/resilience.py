@@ -5,15 +5,13 @@ Everything the fault-tolerant serving stack shares lives here:
 * :class:`Deadline` — absolute wall-clock request deadlines, propagated
   from the HTTP edge through the batching queue into pool workers so a
   request never outlives its client timeout;
-* :class:`CircuitBreaker` — per-dependency failure gate (registry load,
-  feature-cache disk, array STA kernel) with closed → open → half-open
-  transitions and counters;
+* :class:`CircuitBreaker` — per-dependency failure gate (the disk artifact
+  cache) with closed → open → half-open transitions and counters;
 * :class:`AdmissionController` — bounded admission with per-route
   concurrency limits; rejections carry a ``Retry-After`` hint and surface
   as HTTP 429 load shedding, never as queue growth;
 * the **degradation ladder** — named, counted fallbacks that trade latency
-  for availability without ever changing results: the array STA kernel
-  degrades to the bit-identical ``reference`` kernel, a corrupt disk cache
+  for availability without ever changing results: a corrupt disk cache
   entry degrades to in-memory recompute, a failing micro-batch degrades to
   serial per-request predicts.
 
@@ -29,11 +27,9 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, TypeVar
+from typing import Dict, Optional
 
 from repro.runtime import report as report_mod
-
-T = TypeVar("T")
 
 log = logging.getLogger("repro.serve")
 
@@ -335,7 +331,6 @@ class _Admission:
 #: Ladder steps, most-preferred path first.  Every step preserves results
 #: bit-for-bit; only latency degrades.
 DEGRADATION_LADDER: Dict[str, str] = {
-    "kernel_reference": "array STA kernel -> per-vertex reference kernel",
     "cache_recompute": "disk artifact/feature cache -> in-memory recompute",
     "serial_predict": "batched predict -> serial per-request predicts",
     "registry_payload": "registry bundle load -> cached in-memory payload",
@@ -350,38 +345,3 @@ def degrade(step: str, report: Optional[report_mod.RuntimeReport] = None) -> Non
     else:
         report_mod.incr(counter)
     log.warning("degraded: %s", DEGRADATION_LADDER.get(step, step))
-
-
-def run_with_kernel_fallback(
-    breaker: CircuitBreaker,
-    fn: Callable[[], T],
-    report: Optional[report_mod.RuntimeReport] = None,
-) -> T:
-    """Run ``fn`` preferring the array STA kernel, degrading to ``reference``.
-
-    While the breaker is closed (or grants a half-open probe) the call runs
-    under the ambient kernel selection; any exception counts against the
-    breaker and the call is retried once under the forced ``reference``
-    kernel.  While the breaker is open, calls go straight to the reference
-    kernel — no per-request exception cost on a known-bad dependency.
-
-    The two kernels are bit-identical by contract (fuzz-verified), so this
-    fallback can never change a result — only its latency.  Errors that
-    have nothing to do with the kernel (e.g. a Verilog parse error) fail
-    again identically on the degraded retry and surface unchanged; they may
-    transiently trip the breaker, which costs reference-kernel latency,
-    never correctness.
-    """
-    from repro.sta import engine
-
-    if breaker.allows():
-        try:
-            result = fn()
-        except Exception:
-            breaker.record_failure()
-        else:
-            breaker.record_success()
-            return result
-    degrade("kernel_reference", report)
-    with engine.kernel_forced("reference"):
-        return fn()

@@ -44,7 +44,6 @@ from repro.serve.resilience import (
     _env_int,
     degrade,
     remaining_or_none,
-    run_with_kernel_fallback,
 )
 from repro.serve.supervisor import PoolConfig, WorkerPool
 
@@ -142,8 +141,7 @@ class TimingService:
             retry_after_s=self.config.retry_after_s,
             report=self.report,
         )
-        #: Per-dependency circuit breakers feeding the degradation ladder.
-        self.kernel_breaker = CircuitBreaker("kernel", report=self.report)
+        #: Disk-cache circuit breaker feeding the degradation ladder.
         self.cache_breaker = CircuitBreaker("cache_disk", report=self.report)
         self._artifacts = ArtifactCache() if self.config.cache_records else None
         if self._artifacts is not None:
@@ -299,15 +297,11 @@ class TimingService:
             if candidates is None:
                 prediction = self.predict(record)
             with self._whatif_mutex, activate(self.report), self.report.stage(WHATIF_STAGE):
-                estimates = run_with_kernel_fallback(
-                    self.kernel_breaker,
-                    lambda: self.timer.what_if(
-                        record,
-                        candidates=candidates,
-                        prediction=prediction,
-                        k=self.config.whatif_k if k is None else k,
-                    ),
-                    self.report,
+                estimates = self.timer.what_if(
+                    record,
+                    candidates=candidates,
+                    prediction=prediction,
+                    k=self.config.whatif_k if k is None else k,
                 )
             self.report.incr("serve_whatif_requests")
             return estimates
@@ -328,17 +322,11 @@ class TimingService:
             self.report.incr("serve_record_hits")
             return cached
         with activate(self.report), self.report.stage("serve.build_record"):
-            # The build runs the STA kernel; the breaker degrades a failing
-            # array kernel to the bit-identical reference loop.  A corrupt
-            # disk-cache entry already degrades to recompute inside
-            # ArtifactCache.get (gated by cache_breaker).
-            # The record comes back stamped with its build key, so the
-            # path-feature cache addresses it without fingerprinting it.
-            record = run_with_kernel_fallback(
-                self.kernel_breaker,
-                lambda: load_or_build_record(source, name, self._artifacts),
-                self.report,
-            )
+            # A corrupt disk-cache entry degrades to recompute inside
+            # ArtifactCache.get (gated by cache_breaker).  The record comes
+            # back stamped with its build key, so the path-feature cache
+            # addresses it without fingerprinting it.
+            record = load_or_build_record(source, name, self._artifacts)
         with self._record_mutex:
             self._record_cache[key] = record
             self._record_cache.move_to_end(key)
@@ -363,10 +351,7 @@ class TimingService:
             "active_bundle_id": self.active_bundle_id,
             "eval_digest": self.eval_digest,
             "admission_depth": self.admission.depth(),
-            "breakers": {
-                "kernel": self.kernel_breaker.state,
-                "cache_disk": self.cache_breaker.state,
-            },
+            "breakers": {"cache_disk": self.cache_breaker.state},
         }
         if latencies:
             serving["predict_p50"] = round(percentile(latencies, 0.50), 6)
@@ -422,12 +407,6 @@ class TimingService:
         for request, prediction in zip(batch, predictions):
             request.prediction = prediction
 
-    def _execute_serial(self, record: DesignRecord) -> RTLTimerPrediction:
-        """One in-process predict, kernel-breaker protected (the ladder floor)."""
-        return run_with_kernel_fallback(
-            self.kernel_breaker, lambda: self.timer.predict(record), self.report
-        )
-
     def _serve_loop(self) -> None:
         while True:
             batch = self._take_batch()
@@ -456,7 +435,7 @@ class TimingService:
                             with activate(self.report), self.report.stage(
                                 PREDICT_BATCH_STAGE
                             ):
-                                request.prediction = self._execute_serial(request.record)
+                                request.prediction = self.timer.predict(request.record)
                         except BaseException as exc:
                             request.error = exc
             self.report.incr("serve_requests", len(batch))
@@ -549,7 +528,7 @@ class PooledTimingService(TimingService):
                 # Ladder floor: the parent's own timer, bit-identical.
                 self.report.incr("serve_pool_local_fallbacks")
                 try:
-                    request.prediction = self._execute_serial(request.record)
+                    request.prediction = self.timer.predict(request.record)
                 except BaseException as exc:
                     request.error = exc
             except BaseException as exc:

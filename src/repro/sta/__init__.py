@@ -9,14 +9,7 @@ from repro.sta.network import (
     from_bog,
 )
 from repro.sta.csr import AttributeColumns, CSRTimingGraph
-from repro.sta.engine import (
-    STA_KERNEL_ENV_VAR,
-    EndpointTiming,
-    STAReport,
-    analyze,
-    compute_loads,
-    resolve_kernel,
-)
+from repro.sta.engine import EndpointTiming, STAReport, analyze, compute_loads
 from repro.sta.paths import TimingPath, trace_critical_path
 
 __all__ = [
@@ -28,12 +21,10 @@ __all__ = [
     "from_bog",
     "AttributeColumns",
     "CSRTimingGraph",
-    "STA_KERNEL_ENV_VAR",
     "EndpointTiming",
     "STAReport",
     "analyze",
     "compute_loads",
-    "resolve_kernel",
     "TimingPath",
     "trace_critical_path",
 ]

@@ -10,62 +10,16 @@ the quantities PrimeTime provides in the paper's flow.
 
 from __future__ import annotations
 
-import contextlib
-import os
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.faults import fault_fires
 from repro.sta.constraints import ClockConstraint
 from repro.sta.network import TimingNetwork, VertexKind
 
-#: Environment knob selecting the STA kernel backend: ``array`` (default,
-#: level-sweep numpy kernel over the compiled CSR graph) or ``reference``
-#: (the per-vertex Python loop).  The two are bit-identical by contract.
+#: Retired knob: nothing in ``repro`` reads it; kept for callers that log it.
 STA_KERNEL_ENV_VAR = "REPRO_STA_KERNEL"
-
-_KERNELS = ("array", "reference")
-
-# Thread-local forced override, installed by the serving layer's kernel
-# circuit breaker.  It outranks both the explicit argument and the env var:
-# a degraded retry must not re-enter the failing array path just because a
-# caller deep in the stack hard-codes kernel="array".
-_FORCED = threading.local()
-
-
-@contextlib.contextmanager
-def kernel_forced(kernel: str) -> Iterator[None]:
-    """Force every :func:`analyze` call on this thread onto ``kernel``.
-
-    Used by :func:`repro.serve.resilience.run_with_kernel_fallback` to pin a
-    degraded retry to the ``reference`` kernel.  Thread-local so concurrent
-    healthy requests keep the array path.
-    """
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown STA kernel {kernel!r}; choose one of {_KERNELS}")
-    previous = getattr(_FORCED, "kernel", None)
-    _FORCED.kernel = kernel
-    try:
-        yield
-    finally:
-        _FORCED.kernel = previous
-
-
-def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """The kernel backend to use: forced override, else argument, else env var."""
-    forced = getattr(_FORCED, "kernel", None)
-    if forced is not None:
-        return forced
-    value = kernel if kernel is not None else os.environ.get(STA_KERNEL_ENV_VAR) or "array"
-    if value not in _KERNELS:
-        raise ValueError(
-            f"unknown STA kernel {value!r} (from ${STA_KERNEL_ENV_VAR}); "
-            f"choose one of {_KERNELS}"
-        )
-    return value
 
 
 @dataclass(slots=True)
@@ -167,10 +121,9 @@ def compute_loads(network: TimingNetwork) -> np.ndarray:
 def propagate_vertex(vertex, clock: ClockConstraint, arrivals, slews, load) -> tuple:
     """The per-vertex NLDM update rule: (arrival, slew) given fanin state.
 
-    This is the single source of truth for the timing recurrence; both the
-    full :func:`analyze` sweep and the dirty-cone re-propagation of
-    :mod:`repro.incremental` call it, so the two paths agree bit for bit on
-    every vertex they both visit.
+    This is the scalar statement of the timing recurrence that the array
+    kernel vectorizes; :func:`analyze_reference` and the incremental oracle
+    in ``tests/sta_oracle.py`` run it one vertex at a time.
     """
     if vertex.kind is VertexKind.CONST:
         return 0.0, clock.input_slew
@@ -221,41 +174,48 @@ def analyze(
     network: TimingNetwork,
     clock: ClockConstraint,
     loads: Optional[np.ndarray] = None,
-    kernel: Optional[str] = None,
 ) -> STAReport:
     """Run setup STA on ``network`` against ``clock``.
 
-    ``kernel`` selects the backend (``array``/``reference``; default from
-    ``$REPRO_STA_KERNEL``, else the array kernel).  Both backends produce
-    bit-identical reports: the array path evaluates the same NLDM recurrence
-    as :func:`propagate_vertex`, one whole level per numpy sweep.
+    The array kernel evaluates the :func:`propagate_vertex` recurrence one
+    whole logic level per numpy sweep over the compiled CSR graph; it is
+    bit-identical to :func:`analyze_reference` by contract.
     """
     n = len(network.vertices)
     arrivals = np.zeros(n)
     slews = np.full(n, clock.input_slew)
+    compiled = network.compiled()
+    cols = compiled.columns(network)
+    if loads is None:
+        loads = compiled.compute_loads(network, cols)
+    compiled.sweep_all(cols, clock, arrivals, slews, loads)
+    return _report(network, clock, arrivals, slews, loads)
 
-    if resolve_kernel(kernel) == "array":
-        if fault_fires("kernel.exception"):
-            raise RuntimeError("injected fault: kernel.exception")
-        compiled = network.compiled()
-        cols = compiled.columns(network)
-        if loads is None:
-            loads = compiled.compute_loads(network, cols)
-        compiled.sweep_all(cols, clock, arrivals, slews, loads)
-    else:
-        if loads is None:
-            loads = compute_loads(network)
-        for vertex_id in network.topological_order():
-            vertex = network.vertices[vertex_id]
-            arrivals[vertex_id], slews[vertex_id] = propagate_vertex(
-                vertex, clock, arrivals, slews, loads[vertex_id]
-            )
 
+def analyze_reference(
+    network: TimingNetwork,
+    clock: ClockConstraint,
+    loads: Optional[np.ndarray] = None,
+) -> STAReport:
+    """The per-vertex :func:`propagate_vertex` loop: the test oracle of :func:`analyze`."""
+    n = len(network.vertices)
+    arrivals = np.zeros(n)
+    slews = np.full(n, clock.input_slew)
+    if loads is None:
+        loads = compute_loads(network)
+    for vertex_id in network.topological_order():
+        vertex = network.vertices[vertex_id]
+        arrivals[vertex_id], slews[vertex_id] = propagate_vertex(
+            vertex, clock, arrivals, slews, loads[vertex_id]
+        )
+    return _report(network, clock, arrivals, slews, loads)
+
+
+def _report(network, clock, arrivals, slews, loads) -> STAReport:
     endpoints: List[EndpointTiming] = [
         endpoint_timing(endpoint, clock, arrivals) for endpoint in network.endpoints
     ]
     wns, tns = summarize_slacks(endpoints)
-
     return STAReport(
         design=network.name,
         clock=clock,

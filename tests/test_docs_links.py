@@ -71,7 +71,6 @@ def test_serving_doc_covers_every_env_knob():
         FEATURE_CACHE_ENV_VAR,
     )
     from repro.faults import FAULT_ENV_VAR
-    from repro.ml.tree import BINS_ENV_VAR
     from repro.runtime.cache import (
         CACHE_DIR_ENV_VAR,
         CACHE_ENABLE_ENV_VAR,
@@ -80,20 +79,17 @@ def test_serving_doc_covers_every_env_knob():
     from repro.runtime.parallel import JOBS_ENV_VAR
     from repro.runtime.report import BENCH_ENV_VAR
     from repro.serve.registry import MODEL_DIR_ENV_VAR
-    from repro.sta.engine import STA_KERNEL_ENV_VAR
 
     for variable in (
         FEATURE_CACHE_DISK_ENV_VAR,
         FEATURE_CACHE_ENV_VAR,
         FAULT_ENV_VAR,
-        BINS_ENV_VAR,
         CACHE_DIR_ENV_VAR,
         CACHE_ENABLE_ENV_VAR,
         CACHE_MAX_MB_ENV_VAR,
         JOBS_ENV_VAR,
         BENCH_ENV_VAR,
         MODEL_DIR_ENV_VAR,
-        STA_KERNEL_ENV_VAR,
     ):
         assert variable in serving, f"docs/serving.md does not document {variable}"
 

@@ -15,7 +15,6 @@ from repro.ml import (
     group_max,
     resolve_max_bins,
 )
-from repro.ml.tree import BINS_ENV_VAR
 
 
 @pytest.fixture(scope="module")
@@ -196,14 +195,11 @@ class TestBinning:
                 binned.codes[:, 0] <= index, column[:, 0] <= cut
             )
 
-    def test_env_knob_overrides_budget(self, monkeypatch):
-        monkeypatch.setenv(BINS_ENV_VAR, "32")
-        assert resolve_max_bins() == 32
-        assert resolve_max_bins(8) == 8  # explicit argument wins
-        monkeypatch.setenv(BINS_ENV_VAR, "100000")
-        assert resolve_max_bins() == 256  # uint8 ceiling
-        monkeypatch.setenv(BINS_ENV_VAR, "garbage")
+    def test_budget_clamped_to_uint8_range(self):
         assert resolve_max_bins() == 256
+        assert resolve_max_bins(8) == 8
+        assert resolve_max_bins(100000) == 256  # uint8 ceiling
+        assert resolve_max_bins(1) == 2
 
 
 class TestSplitterEquivalence:

@@ -3,8 +3,8 @@
 Covers the tentpole contracts of the subsystem:
 
 * seed-replay determinism — same ``(seed, strategy, budget)`` means a
-  byte-identical canonical payload, across runs, STA kernels and
-  ``REPRO_JOBS`` settings;
+  byte-identical canonical payload, across runs and ``REPRO_JOBS``
+  settings;
 * re-anchoring — incremental drift raises :class:`DriftError` instead of
   silently corrupting a search (proved with the ``incremental.extra_load``
   fault);
@@ -46,7 +46,6 @@ from repro.optimize import (
     write_artifact,
 )
 from repro.runtime.cache import ArtifactCache
-from repro.sta.engine import STA_KERNEL_ENV_VAR
 from repro.synth.optimizer import PathGroup, SynthesisOptions
 
 
@@ -232,9 +231,6 @@ class TestSearchDeterminism:
             return json.dumps(canonical_payload(result), sort_keys=True)
 
         baseline = payload()
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "reference")
-        assert payload() == baseline
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "array")
         monkeypatch.setenv("REPRO_JOBS", "2")
         assert payload() == baseline
 

@@ -22,9 +22,7 @@ from repro.serve.resilience import (
     Deadline,
     RejectedError,
     remaining_or_none,
-    run_with_kernel_fallback,
 )
-from repro.sta import engine as sta_engine
 
 
 # ---------------------------------------------------------------------------
@@ -155,52 +153,3 @@ def test_deadline_remaining_and_expiry():
     assert remaining_or_none(deadline) == 0.0  # clamped for wait() timeouts
     assert remaining_or_none(None) is None
     assert Deadline.after(None) is None
-
-
-# ---------------------------------------------------------------------------
-# Kernel degradation
-# ---------------------------------------------------------------------------
-
-
-def test_kernel_forced_overrides_and_restores(monkeypatch):
-    monkeypatch.delenv(sta_engine.STA_KERNEL_ENV_VAR, raising=False)
-    assert sta_engine.resolve_kernel(None) == "array"
-    with sta_engine.kernel_forced("reference"):
-        assert sta_engine.resolve_kernel(None) == "reference"
-        assert sta_engine.resolve_kernel("array") == "reference"  # forced wins
-    assert sta_engine.resolve_kernel(None) == "array"
-    with pytest.raises(ValueError):
-        with sta_engine.kernel_forced("warp-drive"):
-            pass
-
-
-def test_run_with_kernel_fallback_degrades_once(monkeypatch):
-    monkeypatch.setenv(FAULT_ENV_VAR, "kernel.exception")
-    report = RuntimeReport()
-    breaker = CircuitBreaker("kernel", failure_threshold=3, report=report)
-    calls = []
-
-    def flaky():
-        calls.append(sta_engine.resolve_kernel(None))
-        if sta_engine.resolve_kernel(None) == "array":
-            raise RuntimeError("injected fault: kernel.exception")
-        return "ok"
-
-    assert run_with_kernel_fallback(breaker, flaky, report) == "ok"
-    assert calls == ["array", "reference"]
-    assert report.counters["serve_degraded_kernel_reference"] == 1
-    assert report.counters["breaker_kernel_failures"] == 1
-
-
-def test_run_with_kernel_fallback_skips_primary_when_open():
-    report = RuntimeReport()
-    breaker = CircuitBreaker("kernel", failure_threshold=1, reset_after_s=60.0, report=report)
-    breaker.record_failure()  # trip it
-    calls = []
-
-    def fn():
-        calls.append(sta_engine.resolve_kernel(None))
-        return "ok"
-
-    assert run_with_kernel_fallback(breaker, fn, report) == "ok"
-    assert calls == ["reference"]  # open breaker: no array attempt at all

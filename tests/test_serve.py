@@ -272,6 +272,13 @@ def test_http_health_and_metrics(http_server):
     assert "active_bundle_id" in metrics["serving"]
 
 
+MALFORMED_SOURCES = (
+    "module broken(input a; endmodule",  # ParseError
+    "module m(input a, output y); assign y = a $ a; endmodule",  # LexerError
+    "module m(input a, output y); assign y = b; endmodule",  # AnalysisError
+)
+
+
 def test_http_error_paths(http_server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _get(http_server, "/nope")
@@ -293,6 +300,50 @@ def test_http_error_paths(http_server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _post(http_server, "/whatif", {"name": "whatever", "k": -3})
     assert excinfo.value.code in (400, 404)
+
+    for route in ("/predict", "/whatif"):
+        for source in MALFORMED_SOURCES:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(http_server, route, {"source": source, "name": "m"})
+            assert excinfo.value.code == 422, (route, source)
+            assert "error" in json.loads(excinfo.value.read())
+
+
+def test_malformed_sources_move_no_breaker_or_degradation(
+    served_timer, simple_source, tmp_path, monkeypatch
+):
+    """Malformed sources parse once and leave the serving stack undegraded."""
+    import repro.core.dataset as dataset
+    from repro.hdl.design import AnalysisError
+    from repro.hdl.lexer import LexerError
+    from repro.hdl.parser import ParseError
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    parsed = []
+    original = dataset.parse_source
+
+    def counting(source):
+        parsed.append(source)
+        return original(source)
+
+    monkeypatch.setattr(dataset, "parse_source", counting)
+    service = TimingService(served_timer)
+    try:
+        for source in MALFORMED_SOURCES:
+            with pytest.raises((LexerError, ParseError, AnalysisError)):
+                service.record_for_source(source, name="m")
+        assert parsed == list(MALFORMED_SOURCES)
+        record = service.record_for_source(simple_source, name="simple")
+        assert service.predict(record).overall == served_timer.predict(record).overall
+        moved = [
+            name
+            for name in service.report.counters
+            if name.startswith(("breaker_", "serve_degraded_"))
+        ]
+        assert moved == []
+        assert service.metrics()["serving"]["breakers"] == {"cache_disk": "closed"}
+    finally:
+        service.close()
 
 
 def test_http_post_unknown_path_does_not_desync_keepalive(http_server):
@@ -649,6 +700,7 @@ def test_every_response_status_is_one_write(
                     "POST", "/predict", "x", {"Content-Length": str(MAX_BODY_BYTES + 1)}
                 ),
             ),
+            (422, lambda: exchange("POST", "/predict", json.dumps({"source": "module ("}))),
             (501, lambda: exchange("PUT", "/predict", name)),
         ]
         for status, send in cases:

@@ -1,10 +1,12 @@
 """Tests for the compiled CSR timing graph and the array STA kernel.
 
-The contract under test: the ``array`` kernel (levelized numpy sweeps over
-``repro.sta.csr.CSRTimingGraph``) is *bit-identical* to the ``reference``
-kernel (the per-vertex ``propagate_vertex`` loop) on every network, and the
-compiled structural views (``topological_order``, ``fanouts``, levels) are
-deterministic pure functions of the graph structure.
+The contract under test: ``analyze`` (levelized numpy sweeps over
+``repro.sta.csr.CSRTimingGraph``) is *bit-identical* to the oracle
+``analyze_reference`` (the per-vertex ``propagate_vertex`` loop) on every
+network, incremental re-timing matches the per-vertex worklist of
+``tests/sta_oracle.py``, and the compiled structural views
+(``topological_order``, ``fanouts``, levels) are deterministic pure functions
+of the graph structure.
 """
 
 import numpy as np
@@ -14,15 +16,9 @@ from repro.bog.builder import build_sog
 from repro.bog.transforms import build_variants
 from repro.incremental import AddExtraLoad, IncrementalSTA, SetDerate, SwapCell
 from repro.liberty import pseudo_library
-from repro.sta import (
-    ClockConstraint,
-    STA_KERNEL_ENV_VAR,
-    TimingNetwork,
-    VertexKind,
-    analyze,
-    from_bog,
-    resolve_kernel,
-)
+from repro.sta import ClockConstraint, TimingNetwork, VertexKind, analyze, from_bog
+from repro.sta.engine import STA_KERNEL_ENV_VAR, analyze_reference
+from tests.sta_oracle import reference_what_if
 
 CLOCK = ClockConstraint(period=700.0)
 
@@ -39,42 +35,17 @@ def _assert_reports_identical(array, reference):
 
 
 def _both_kernels(network, clock=CLOCK):
-    return analyze(network, clock, kernel="array"), analyze(
-        network, clock, kernel="reference"
-    )
+    return analyze(network, clock), analyze_reference(network, clock)
 
 
 class TestKernelSelection:
-    def test_default_is_array(self, monkeypatch):
-        monkeypatch.delenv(STA_KERNEL_ENV_VAR, raising=False)
-        assert resolve_kernel() == "array"
-
-    def test_env_var_selects_reference(self, monkeypatch):
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "reference")
-        assert resolve_kernel() == "reference"
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "reference")
-        assert resolve_kernel("array") == "array"
-
-    def test_empty_env_value_means_default(self, monkeypatch):
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "")
-        assert resolve_kernel() == "array"
-
-    def test_unknown_kernel_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown STA kernel"):
-            resolve_kernel("vector")
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "simd")
-        with pytest.raises(ValueError, match="simd"):
-            resolve_kernel()
-
-    def test_analyze_respects_env_var(self, simple_design, monkeypatch):
+    def test_default_is_array(self, simple_design, monkeypatch):
+        """``analyze`` always runs the array kernel; the retired knob selects nothing."""
         network = from_bog(build_sog(simple_design))
         monkeypatch.setenv(STA_KERNEL_ENV_VAR, "reference")
-        reference = analyze(network, CLOCK)
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "array")
-        array = analyze(network, CLOCK)
-        _assert_reports_identical(array, reference)
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "sta.array_delay")  # array-only tooth
+        array, reference = _both_kernels(network)
+        assert not np.array_equal(array.arrivals, reference.arrivals)
 
 
 class TestBitIdentity:
@@ -114,9 +85,9 @@ class TestBitIdentity:
 
     def test_explicit_loads_argument(self, simple_design):
         network = from_bog(build_sog(simple_design))
-        loads = analyze(network, CLOCK, kernel="reference").loads + 1.25
-        array = analyze(network, CLOCK, loads=loads.copy(), kernel="array")
-        reference = analyze(network, CLOCK, loads=loads.copy(), kernel="reference")
+        loads = analyze_reference(network, CLOCK).loads + 1.25
+        array = analyze(network, CLOCK, loads=loads.copy())
+        reference = analyze_reference(network, CLOCK, loads=loads.copy())
         _assert_reports_identical(array, reference)
 
 
@@ -165,7 +136,7 @@ class TestGraphEdgeCases:
 
     def test_combinational_cycle_raises_on_both_kernels(self):
         cell = LIBRARY.pick("AND")
-        for kernel in ("array", "reference"):
+        for kernel in (analyze, analyze_reference):
             network = TimingNetwork("looped")
             a = network.add_vertex(VertexKind.INPUT, name="a")
             g1 = network.add_vertex(VertexKind.GATE, fanins=[a], cell=cell)
@@ -173,7 +144,7 @@ class TestGraphEdgeCases:
             network.vertices[g1].fanins.append(g2)
             network.invalidate()
             with pytest.raises(ValueError, match="combinational cycle"):
-                analyze(network, CLOCK, kernel=kernel)
+                kernel(network, CLOCK)
 
 
 class TestTopologicalOrderDeterminism:
@@ -206,10 +177,7 @@ class TestTopologicalOrderDeterminism:
 
 class TestIncrementalKernelParity:
     @pytest.mark.parametrize("kernel", ["array", "reference"])
-    def test_incremental_matches_full_under_both_kernels(
-        self, simple_design, monkeypatch, kernel
-    ):
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, kernel)
+    def test_incremental_matches_full_under_both_kernels(self, simple_design, kernel):
         network = from_bog(build_sog(simple_design), library=LIBRARY)
         engine = IncrementalSTA(network, CLOCK)
         gates = [v.id for v in network.vertices if v.kind is VertexKind.GATE]
@@ -220,30 +188,35 @@ class TestIncrementalKernelParity:
         stronger = LIBRARY.upsize(network.vertices[gates[-1]].cell)
         if stronger is not None:
             patches.append(SwapCell(gates[-1], stronger))
-        with engine.what_if(patches) as incremental:
-            full = analyze(network, CLOCK, kernel=kernel)
-            assert np.array_equal(incremental.arrivals, full.arrivals)
-            assert np.array_equal(incremental.slews, full.slews)
-            assert incremental.wns == full.wns
-            assert incremental.tns == full.tns
+        if kernel == "array":
+            with engine.what_if(patches) as incremental:
+                full = analyze(network, CLOCK)
+        else:
+            incremental, _ = reference_what_if(engine, patches)
+            for patch in patches:
+                patch.apply(network)
+            full = analyze_reference(network, CLOCK)
+        assert np.array_equal(incremental.arrivals, full.arrivals)
+        assert np.array_equal(incremental.slews, full.slews)
+        assert incremental.wns == full.wns
+        assert incremental.tns == full.tns
 
-    def test_incremental_stats_agree_between_kernels(self, simple_design, monkeypatch):
-        results = {}
-        for kernel in ("array", "reference"):
-            monkeypatch.setenv(STA_KERNEL_ENV_VAR, kernel)
-            network = from_bog(build_sog(simple_design))
-            engine = IncrementalSTA(network, CLOCK)
-            gates = [v.id for v in network.vertices if v.kind is VertexKind.GATE]
-            with engine.what_if([SetDerate(gates[2], 1.3)]) as incremental:
-                results[kernel] = (
-                    incremental.arrivals.copy(),
-                    incremental.wns,
-                    engine.last_stats.n_recomputed,
-                )
-        array_result, reference_result = results["array"], results["reference"]
-        assert np.array_equal(array_result[0], reference_result[0])
-        assert array_result[1] == reference_result[1]
-        assert array_result[2] == reference_result[2]
+    def test_incremental_stats_agree_between_kernels(self, simple_design):
+        network = from_bog(build_sog(simple_design))
+        engine = IncrementalSTA(network, CLOCK)
+        gates = [v.id for v in network.vertices if v.kind is VertexKind.GATE]
+        unchanged = network.vertices[gates[2]].derate
+        # The second patch set re-times nothing, so only early stopping
+        # keeps the recomputed count at the seed itself.
+        for patches in ([SetDerate(gates[2], 1.3)], [SetDerate(gates[2], unchanged)]):
+            with engine.what_if(patches) as incremental:
+                array_result = (incremental.arrivals.copy(), incremental.wns)
+                array_recomputed = engine.last_stats.n_recomputed
+            reference, reference_recomputed = reference_what_if(engine, patches)
+            assert np.array_equal(array_result[0], reference.arrivals)
+            assert array_result[1] == reference.wns
+            assert array_recomputed == reference_recomputed
+        assert array_recomputed == 1
 
 
 class TestFaultInjection:
