@@ -42,7 +42,6 @@ from repro.core import (
 from repro.core.dataset import DesignRecord
 from repro.hdl.generate import BENCHMARK_SPECS
 from repro.ml.preprocessing import group_kfold
-from repro.ml.tree import resolve_max_bins
 from repro.runtime import RuntimeReport, activate, resolve_jobs, write_bench_report
 
 #: CI benchmark-trend mode: smaller models, fewer folds, same pipeline shape.
@@ -91,8 +90,6 @@ def runtime_report():
             "fast_mode": FAST_MODE,
             "n_folds": N_FOLDS,
             "jobs": resolve_jobs(len(BENCHMARK_SPECS)),
-            "gbm_splitter": FAST_CONFIG.bitwise.splitter,
-            "gbm_max_bins": resolve_max_bins(FAST_CONFIG.bitwise.max_bins),
             "feature_cache": feature_cache_enabled(),
         }
     )

@@ -21,6 +21,7 @@ from repro.core import (
     build_design_record,
 )
 from repro.hdl.generate import BENCHMARK_SPECS
+from repro.serve.registry import RegistryError
 
 #: Where the fitted model bundle lands (delete it to force a re-train).
 BUNDLE_PATH = Path(__file__).parent / "output" / "quickstart_model.bundle"
@@ -75,12 +76,19 @@ def train_and_save() -> RTLTimer:
 
 
 def main() -> None:
+    timer = None
     if BUNDLE_PATH.exists():
-        # Reloaded models predict bit-identically to the fitted original —
-        # the whole point of the save/load boundary is never training twice.
-        print(f"Loading the fitted model from {BUNDLE_PATH} (no re-training)...")
-        timer = RTLTimer.load(BUNDLE_PATH)
-    else:
+        try:
+            timer = RTLTimer.load(BUNDLE_PATH)
+        except RegistryError as exc:
+            # E.g. a bundle saved by an older release under a previous bundle
+            # schema: say why, then re-train and overwrite it.
+            print(f"Cannot load {BUNDLE_PATH}: {exc}")
+        else:
+            # Reloaded models predict bit-identically to the fitted original —
+            # the whole point of the save/load boundary is never training twice.
+            print(f"Loaded the fitted model from {BUNDLE_PATH} (no re-training).")
+    if timer is None:
         timer = train_and_save()
 
     print("Evaluating the user design (no synthesis of the user RTL is needed)...")

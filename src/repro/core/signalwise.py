@@ -41,8 +41,6 @@ class SignalwiseConfig:
     ranker_estimators: int = 80
     ranker_depth: int = 4
     relevance_levels: int = 4
-    splitter: str = "hist"  # tree split finding: "hist" | "exact"
-    max_bins: Optional[int] = None  # histogram bin budget (None = 256)
     seed: int = 0
 
 
@@ -147,8 +145,6 @@ class SignalwiseModel:
             n_estimators=config.n_estimators,
             max_depth=config.max_depth,
             min_samples_leaf=3,
-            splitter=config.splitter,
-            max_bins=config.max_bins,
             seed=config.seed,
         )
         self.regressor_.fit(Xs, ys)
@@ -156,8 +152,6 @@ class SignalwiseModel:
         self.ranker_ = LambdaMARTRanker(
             n_estimators=config.ranker_estimators,
             max_depth=config.ranker_depth,
-            splitter=config.splitter,
-            max_bins=config.max_bins,
             seed=config.seed,
         )
         self.ranker_.fit(Xs, np.array(relevance), queries)

@@ -41,7 +41,7 @@ Differential (silent wrong answers, each caught by a fuzz oracle):
 * ``interpret.add`` — the word-level interpreter computes ``a + b + 1``,
   diverging from the bit-blasted ripple-carry adder.
 * ``gbm.hist_threshold`` — the histogram splitter nudges every chosen cut
-  threshold upward, diverging from the exact splitter's partitions.
+  threshold upward, diverging from the exact reference fit's partitions.
 * ``sta.array_delay`` — the array STA kernel perturbs every gate's candidate
   arrival by 1e-6, diverging from the per-vertex reference kernel (caught by
   ``array_vs_reference_sta``).

@@ -8,9 +8,9 @@ violation messages (empty list == clean):
   simulation of all four BOG variants, bit for bit, under random stimulus;
 * ``incremental_vs_full`` — the dirty-cone incremental STA against a full
   re-analysis after random patch sequences (1e-9, bit-identical in practice);
-* ``hist_vs_exact_gbm`` — the histogram GBM splitter against the exact
-  reference splitter on the design's extracted path features, plus flattened
-  (``FlatTree``) against recursive prediction;
+* ``hist_vs_exact_gbm`` — the histogram tree fit against the exact
+  reference fit (``fit_tree_reference``) on the design's extracted path
+  features, plus ``FlatTree`` level-wise prediction against the per-row walk;
 * ``build_determinism`` — a from-scratch rebuild and an artifact-cache
   round-trip must reproduce the record byte-for-byte
   (:func:`~repro.runtime.cache.record_fingerprint`);
@@ -58,7 +58,13 @@ from repro.hdl.interpret import Interpreter
 from repro.incremental.engine import IncrementalSTA
 from repro.incremental.patches import AddExtraLoad, RewireFanins, SetDerate, SwapCell
 from repro.incremental.whatif import WhatIfConfig, patches_for_options
-from repro.ml.tree import MAX_BINS, DecisionTreeRegressor, NewtonTreeRegressor
+from repro.ml.tree import (
+    MAX_BINS,
+    DecisionTreeRegressor,
+    NewtonTreeRegressor,
+    fit_tree_reference,
+    predict_tree_reference,
+)
 from repro.optimize.artifact import canonical_payload
 from repro.optimize.pareto import dominates
 from repro.optimize.search import SearchConfig, run_search
@@ -237,12 +243,12 @@ def incremental_vs_full(
 def _dyadic(values: np.ndarray) -> np.ndarray:
     """Quantize to multiples of 1/64 so sums/products are exact in float64.
 
-    The hist splitter derives sibling histograms by parent-minus-child
+    The histogram fit derives sibling histograms by parent-minus-child
     subtraction, so on arbitrary floats its per-node sums can drift from the
-    exact splitter's sorted cumulative sums by accumulated rounding — enough
+    exact reference's sorted cumulative sums by accumulated rounding — enough
     to flip gain ties between correlated features at deep nodes (found by
     this very fuzzer).  On dyadic inputs every histogram/cumsum/subtraction
-    is exact, the two splitters' gains agree bit for bit at any depth, and
+    is exact, the two split searches' gains agree bit for bit at any depth, and
     the oracle tests the algorithmic contract (candidate cuts, partitions,
     tie-breaking, leaf constraints) instead of float-summation association.
     """
@@ -250,7 +256,7 @@ def _dyadic(values: np.ndarray) -> np.ndarray:
 
 
 def hist_vs_exact_gbm(ctx: FuzzContext, rng: random.Random) -> List[str]:
-    """Histogram vs exact splitter (and flat vs recursive predict)."""
+    """Histogram vs exact reference tree fit (and flat vs per-row predict)."""
     dataset = extract_path_dataset(ctx.record, variant="sog")
     X = np.asarray(dataset.features, dtype=float)
     if len(X) < 2:
@@ -267,35 +273,25 @@ def hist_vs_exact_gbm(ctx: FuzzContext, rng: random.Random) -> List[str]:
     y = _dyadic(np.asarray(dataset.endpoint_labels, dtype=float)[groups])
     problems: List[str] = []
     depth = rng.choice((2, 4, 6))
-    for label, exact_tree, hist_tree in (
-        (
-            "variance",
-            DecisionTreeRegressor(splitter="exact", max_depth=depth, min_samples_leaf=1),
-            DecisionTreeRegressor(splitter="hist", max_depth=depth, min_samples_leaf=1),
-        ),
-        (
-            "newton",
-            NewtonTreeRegressor(splitter="exact", max_depth=depth),
-            NewtonTreeRegressor(splitter="hist", max_depth=depth),
-        ),
+    for label, tree, statistics in (
+        ("variance", DecisionTreeRegressor(max_depth=depth, min_samples_leaf=1), (y,)),
+        # NewtonTreeRegressor.fit(X, y) fits gradients -y with unit hessians.
+        ("newton", NewtonTreeRegressor(max_depth=depth), (-y, np.ones_like(y))),
     ):
-        exact_tree.fit(X, y)
-        hist_tree.fit(X, y)
-        exact_pred = exact_tree.predict(X)
-        hist_pred = hist_tree.predict(X)
+        exact = fit_tree_reference(tree, X, *statistics)
+        hist = tree.fit(X, y).flat_
+        exact_pred = exact.predict(X)
+        hist_pred = hist.predict(X)
         if not np.array_equal(exact_pred, hist_pred):
             worst = float(np.max(np.abs(exact_pred - hist_pred)))
             problems.append(
-                f"{label} tree (depth {depth}, {len(X)} paths): hist splitter "
-                f"diverges from exact splitter by {worst:.3e}"
+                f"{label} tree (depth {depth}, {len(X)} paths): histogram fit "
+                f"diverges from the exact reference by {worst:.3e}"
             )
-        for name, tree in (("exact", exact_tree), ("hist", hist_tree)):
-            flat = tree.predict(X)
-            recursive = tree.predict_recursive(X)
-            if not np.array_equal(flat, recursive):
+        for name, flat in (("exact", exact), ("hist", hist)):
+            if not np.array_equal(flat.predict(X), predict_tree_reference(flat, X)):
                 problems.append(
-                    f"{label}/{name} tree: FlatTree predict diverges from "
-                    f"predict_recursive"
+                    f"{label}/{name} tree: FlatTree predict diverges from the per-row walk"
                 )
     return problems
 

@@ -69,6 +69,14 @@ _BINARY_PRECEDENCE = {
 
 _UNARY_OPS = {"~", "!", "-", "&", "|", "^", "~&", "~|", "~^", "^~"}
 
+#: Deepest expression accepted.  It bounds both the parser's nesting (each
+#: parenthesis pair, operator, ternary, concatenation and replication opens
+#: a level) and the height of the expression tree it returns (a left-nested
+#: chain such as ``a ^ b ^ c`` is one level per operator).  Deeper input
+#: fails with :class:`ParseError` before the parser, or the elaborator
+#: walking the tree later, recurses that far.
+MAX_EXPRESSION_DEPTH = 64
+
 
 class Parser:
     """Parses a token stream into a :class:`Module` AST."""
@@ -344,23 +352,36 @@ class Parser:
         return Identifier(token.text)
 
     # -- expressions --------------------------------------------------------
+    #
+    # Every expression method takes the ``depth`` of the sub-expression it
+    # parses (the levels open above it) and returns the expression with its
+    # tree height, and ``depth + height`` never exceeds MAX_EXPRESSION_DEPTH.
 
     def parse_expression(self) -> Expression:
         """Parse a full expression (including the ternary operator)."""
-        return self._parse_ternary()
+        return self._parse_ternary(0)[0]
 
-    def _parse_ternary(self) -> Expression:
-        cond = self._parse_binary(0)
-        if self._current.is_op("?"):
-            self._advance()
-            if_true = self._parse_ternary()
-            self._expect_punct(":")
-            if_false = self._parse_ternary()
-            return Ternary(cond=cond, if_true=if_true, if_false=if_false)
-        return cond
+    def _fits(self, depth: int, height: int) -> int:
+        """``height`` if a node that tall fits at ``depth``, else ParseError."""
+        if depth + height > MAX_EXPRESSION_DEPTH:
+            raise ParseError(
+                f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels", self._current
+            )
+        return height
 
-    def _parse_binary(self, min_precedence: int) -> Expression:
-        left = self._parse_unary()
+    def _parse_ternary(self, depth: int) -> Tuple[Expression, int]:
+        cond, height = self._parse_binary(0, depth)
+        if not self._current.is_op("?"):
+            return cond, height
+        self._advance()
+        if_true, true_height = self._parse_ternary(depth + 1)
+        self._expect_punct(":")
+        if_false, false_height = self._parse_ternary(depth + 1)
+        height = self._fits(depth, 1 + max(height, true_height, false_height))
+        return Ternary(cond=cond, if_true=if_true, if_false=if_false), height
+
+    def _parse_binary(self, min_precedence: int, depth: int) -> Tuple[Expression, int]:
+        left, height = self._parse_unary(depth)
         while True:
             token = self._current
             if token.kind is not TokenKind.OPERATOR:
@@ -369,40 +390,47 @@ class Parser:
             if precedence is None or precedence < min_precedence:
                 break
             self._advance()
-            right = self._parse_binary(precedence + 1)
+            right, right_height = self._parse_binary(precedence + 1, depth + 1)
             left = BinaryOp(op=token.text, left=left, right=right)
-        return left
+            # A left-nested chain (a ^ b ^ c) deepens by one level per operator.
+            height = self._fits(depth, 1 + max(height, right_height))
+        return left, height
 
-    def _parse_unary(self) -> Expression:
+    def _parse_unary(self, depth: int) -> Tuple[Expression, int]:
+        # Every nested sub-expression passes through here one level deeper,
+        # so this check bounds the parser's own recursion.
+        self._fits(depth, 1)
         token = self._current
         if token.kind is TokenKind.OPERATOR and token.text in _UNARY_OPS:
             self._advance()
-            operand = self._parse_unary()
-            return UnaryOp(op=token.text, operand=operand)
-        return self._parse_primary()
+            operand, height = self._parse_unary(depth + 1)
+            return UnaryOp(op=token.text, operand=operand), height + 1
+        return self._parse_primary(depth)
 
-    def _parse_primary(self) -> Expression:
+    def _parse_primary(self, depth: int) -> Tuple[Expression, int]:
         token = self._current
         if token.is_punct("("):
             self._advance()
-            expr = self.parse_expression()
+            # Parentheses nest the parse but add no level to the tree, so a
+            # left-nested chain the writer parenthesizes parses back.
+            expr, height = self._parse_ternary(depth + 1)
             self._expect_punct(")")
-            return expr
+            return expr, height
         if token.is_punct("{"):
-            return self._parse_concat()
+            return self._parse_concat(depth)
         if token.kind is TokenKind.SIZED_NUMBER:
             self._advance()
             assert token.value is not None
-            return Number(value=token.value, width=token.width)
+            return Number(value=token.value, width=token.width), 1
         if token.kind is TokenKind.NUMBER:
             self._advance()
             assert token.value is not None
-            return Number(value=token.value, width=None)
+            return Number(value=token.value, width=None), 1
         if token.kind is TokenKind.IDENT:
             self._advance()
             if self._current.is_punct("["):
-                return self._parse_select(token.text)
-            return Identifier(token.text)
+                return self._parse_select(token.text), 1
+            return Identifier(token.text), 1
         raise ParseError("unsupported primary expression", token)
 
     def _parse_select(self, name: str) -> Expression:
@@ -416,7 +444,7 @@ class Parser:
         self._expect_punct("]")
         return BitSelect(name=name, index=first)
 
-    def _parse_concat(self) -> Expression:
+    def _parse_concat(self, depth: int) -> Tuple[Expression, int]:
         self._expect_punct("{")
         # Replication: {N{expr}}
         if self._current.kind in (TokenKind.NUMBER, TokenKind.SIZED_NUMBER) and self._peek(
@@ -424,16 +452,19 @@ class Parser:
         ).is_punct("{"):
             count = self._expect_integer()
             self._expect_punct("{")
-            expr = self.parse_expression()
+            expr, height = self._parse_ternary(depth + 1)
             self._expect_punct("}")
             self._expect_punct("}")
-            return Repeat(count=count, expr=expr)
-        parts: List[Expression] = [self.parse_expression()]
+            return Repeat(count=count, expr=expr), height + 1
+        part, height = self._parse_ternary(depth + 1)
+        parts: List[Expression] = [part]
         while self._current.is_punct(","):
             self._advance()
-            parts.append(self.parse_expression())
+            part, part_height = self._parse_ternary(depth + 1)
+            parts.append(part)
+            height = max(height, part_height)
         self._expect_punct("}")
-        return Concat(parts=tuple(parts))
+        return Concat(parts=tuple(parts)), height + 1
 
 
 def parse_source(source: str) -> Module:

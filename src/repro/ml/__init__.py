@@ -15,7 +15,6 @@ from repro.ml.tree import (
     FlatTree,
     NewtonTreeRegressor,
     bin_feature_matrix,
-    resolve_max_bins,
 )
 from repro.ml.gbm import (
     GradientBoostingRegressor,
@@ -50,7 +49,6 @@ __all__ = [
     "FlatTree",
     "NewtonTreeRegressor",
     "bin_feature_matrix",
-    "resolve_max_bins",
     "GradientBoostingRegressor",
     "HuberObjective",
     "SquaredErrorObjective",

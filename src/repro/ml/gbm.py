@@ -87,8 +87,6 @@ class GradientBoostingRegressor(Estimator):
         reg_lambda: float = 1.0,
         objective: Optional[Objective] = None,
         early_stopping_rounds: Optional[int] = None,
-        splitter: str = "hist",
-        max_bins: Optional[int] = None,
         seed: int = 0,
     ):
         self.n_estimators = n_estimators
@@ -100,14 +98,13 @@ class GradientBoostingRegressor(Estimator):
         self.reg_lambda = reg_lambda
         self.objective = objective or SquaredErrorObjective()
         self.early_stopping_rounds = early_stopping_rounds
-        self.splitter = splitter
-        self.max_bins = max_bins
         self.seed = seed
 
     # -- training --------------------------------------------------------------
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "GradientBoostingRegressor":
-        with _stage(f"ml.fit_{self.splitter}"):
+        # The BENCH trend history is keyed on this stage name.
+        with _stage("ml.fit_hist"):
             return self._fit(features, targets)
 
     def _fit(self, features: np.ndarray, targets: np.ndarray) -> "GradientBoostingRegressor":
@@ -119,7 +116,7 @@ class GradientBoostingRegressor(Estimator):
 
         # Bin every feature column once per fit; each boosting round reuses
         # the codes (subset by the subsample mask) instead of re-binning.
-        binned = bin_feature_matrix(X, self.max_bins) if self.splitter == "hist" else None
+        binned = bin_feature_matrix(X)
 
         self.base_score_ = self.objective.initial_prediction(y)
         predictions = np.full(len(y), self.base_score_)
@@ -143,21 +140,15 @@ class GradientBoostingRegressor(Estimator):
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.colsample if self.colsample < 1.0 else None,
                 reg_lambda=self.reg_lambda,
-                splitter=self.splitter,
-                max_bins=self.max_bins,
                 seed=int(rng.integers(2**31)),
             )
-            round_binned = None
             full_batch = bool(mask.all())
-            if binned is not None:
-                round_binned = binned if full_batch else binned.take(mask)
-            tree.fit_gradients(X[mask], grad[mask], hess[mask], binned=round_binned)
-            if round_binned is not None and full_batch:
-                # The histogram fit already assigned every training row to
-                # its leaf; reuse those values instead of re-routing X.
-                update = tree.training_predictions_
-            else:
-                update = tree.predict(X)
+            tree.fit_gradients(
+                X[mask], grad[mask], hess[mask], binned=binned if full_batch else binned.take(mask)
+            )
+            # A full-batch fit already assigned every training row to its
+            # leaf; reuse those values instead of re-routing X.
+            update = tree.training_predictions_ if full_batch else tree.predict(X)
             predictions = predictions + self.learning_rate * update
             self.trees_.append(tree)
 
@@ -236,14 +227,8 @@ class GradientBoostingRegressor(Estimator):
         self._check_fitted("trees_")
         counts = np.zeros(self._n_features())
         for tree in self.trees_:
-            stack = [tree.root_]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    continue
-                counts[node.feature] += 1
-                stack.append(node.left)
-                stack.append(node.right)
+            split_features = tree.flat_.feature[tree.flat_.feature >= 0]
+            counts += np.bincount(split_features, minlength=len(counts))
         total = counts.sum()
         return counts / total if total > 0 else counts
 

@@ -54,8 +54,6 @@ class LambdaMARTRanker(Estimator):
         min_samples_leaf: int = 2,
         reg_lambda: float = 1.0,
         max_pairs_per_query: int = 5000,
-        splitter: str = "hist",
-        max_bins: Optional[int] = None,
         seed: int = 0,
     ):
         self.n_estimators = n_estimators
@@ -64,8 +62,6 @@ class LambdaMARTRanker(Estimator):
         self.min_samples_leaf = min_samples_leaf
         self.reg_lambda = reg_lambda
         self.max_pairs_per_query = max_pairs_per_query
-        self.splitter = splitter
-        self.max_bins = max_bins
         self.seed = seed
 
     # -- training ---------------------------------------------------------------
@@ -100,24 +96,20 @@ class LambdaMARTRanker(Estimator):
 
         # One binning pass shared by every boosting round (no row subsampling
         # here, so the codes can be reused verbatim).
-        binned = bin_feature_matrix(X, self.max_bins) if self.splitter == "hist" else None
+        binned = bin_feature_matrix(X)
 
-        with _stage(f"ml.fit_{self.splitter}"):
+        # The BENCH trend history is keyed on this stage name.
+        with _stage("ml.fit_hist"):
             for _ in range(self.n_estimators):
                 grad, hess = self._lambda_gradients(scores, rel, rng)
                 tree = NewtonTreeRegressor(
                     max_depth=self.max_depth,
                     min_samples_leaf=self.min_samples_leaf,
                     reg_lambda=self.reg_lambda,
-                    splitter=self.splitter,
-                    max_bins=self.max_bins,
                     seed=int(rng.integers(2**31)),
                 )
                 tree.fit_gradients(X, grad, hess, binned=binned)
-                update = (
-                    tree.training_predictions_ if binned is not None else tree.predict(X)
-                )
-                scores = scores + self.learning_rate * update
+                scores = scores + self.learning_rate * tree.training_predictions_
                 self.trees_.append(tree)
                 self.train_ndcg_.append(self._mean_ndcg(scores, rel))
         return self

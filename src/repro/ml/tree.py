@@ -1,49 +1,34 @@
 """Regression trees (CART) used standalone and inside gradient boosting.
 
-Two splitters are available, selectable with ``splitter=``:
+Splits are found LightGBM-style: every feature column is bucketed once per
+``fit`` into at most 256 bins, per-bin statistics are accumulated with
+``np.bincount`` and child histograms are derived from the parent with the
+histogram-subtraction trick, so each node costs one pass over its rows
+instead of one argsort per feature.  Trees grow straight into parallel
+numpy arrays (feature / threshold / left / right / value) and predict
+level-by-level over whole matrices (:class:`FlatTree`).  Leaf values can be
+plain means (standalone use) or Newton steps from per-sample
+gradients/hessians (XGBoost-style boosting).
 
-* ``"hist"`` (default) — LightGBM-style histogram split finding: every
-  feature column is bucketed once per ``fit`` into at most 256 bins
-  (``max_bins=`` lowers the budget), per-bin statistics are
-  accumulated with ``np.bincount`` and child histograms are derived from the
-  parent with the histogram-subtraction trick, so each node costs one pass
-  over its rows instead of one argsort per feature.
-* ``"exact"`` — the original exact variance-reduction splitter over sorted
-  feature columns, kept as the reference for equivalence testing.
-
-When a column has at most ``max_bins`` distinct values the histogram cut
-points coincide with the exact splitter's candidate thresholds, so both
-splitters see identical split gains.
-
-Fitted trees are additionally *flattened* into parallel numpy arrays
-(feature / threshold / left / right / value) and predicted level-by-level
-over whole matrices (:class:`FlatTree`), replacing per-row Python recursion.
-Leaf values can be plain means (standalone use) or Newton steps from
-per-sample gradients/hessians (XGBoost-style boosting).
+The exact split search over sorted feature columns survives once, as the
+test oracle :func:`fit_tree_reference` (with :func:`predict_tree_reference`,
+a per-row walk of a :class:`FlatTree`).  When a column has at most 256
+distinct values the histogram cut points coincide with its candidate
+thresholds, so both searches see identical split gains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.faults import fault_active
 from repro.ml.base import Estimator, as_1d_array, as_2d_array
 
-#: Hard ceiling on the bin budget — bin codes must fit in uint8.
+#: Bin budget per feature column — bin codes must fit in uint8.
 MAX_BINS = 256
-
-#: The two split-finding strategies.
-SPLITTERS = ("hist", "exact")
-
-
-def resolve_max_bins(max_bins: Optional[int] = None) -> int:
-    """Effective bin budget: the explicit argument clamped to 2..256, else 256."""
-    if max_bins is None:
-        return MAX_BINS
-    return min(max(int(max_bins), 2), MAX_BINS)
 
 
 # ---------------------------------------------------------------------------
@@ -112,25 +97,24 @@ class BinnedMatrix:
         return subset
 
 
-def bin_feature_matrix(features: np.ndarray, max_bins: Optional[int] = None) -> BinnedMatrix:
-    """Bucket every feature column into at most ``max_bins`` ordered bins.
+def bin_feature_matrix(features: np.ndarray) -> BinnedMatrix:
+    """Bucket every feature column into at most :data:`MAX_BINS` ordered bins.
 
     Columns with few distinct values get one bin per value with cut points at
-    the midpoints between consecutive values — exactly the exact splitter's
-    candidate thresholds.  Wider columns are quantized over their distinct
-    values, evenly in distinct-value space.
+    the midpoints between consecutive values — exactly the exact split
+    search's candidate thresholds.  Wider columns are quantized over their
+    distinct values, evenly in distinct-value space.
     """
     X = as_2d_array(features)
-    budget = resolve_max_bins(max_bins)
     codes = np.empty(X.shape, dtype=np.uint8)
     cuts: List[np.ndarray] = []
     for feature in range(X.shape[1]):
         column = X[:, feature]
         uniques = np.unique(column)
-        if len(uniques) <= budget:
+        if len(uniques) <= MAX_BINS:
             cut = 0.5 * (uniques[:-1] + uniques[1:])
         else:
-            boundaries = np.linspace(0, len(uniques) - 1, budget + 1).round().astype(int)
+            boundaries = np.linspace(0, len(uniques) - 1, MAX_BINS + 1).round().astype(int)
             boundaries = np.unique(boundaries)[1:-1]
             cut = 0.5 * (uniques[boundaries - 1] + uniques[boundaries])
         # Adjacent floats can collapse a midpoint onto a value; deduplicate so
@@ -147,26 +131,13 @@ def bin_feature_matrix(features: np.ndarray, max_bins: Optional[int] = None) -> 
 
 
 @dataclass
-class _Node:
-    """One node of a fitted tree (leaf when ``feature`` is None)."""
-
-    value: float
-    feature: Optional[int] = None
-    threshold: float = 0.0
-    left: Optional["_Node"] = None
-    right: Optional["_Node"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass
 class FlatTree:
-    """A fitted tree flattened into parallel arrays for vectorized predict.
+    """A fitted tree as parallel arrays, predicted level by level.
 
     ``feature[i] == -1`` marks node ``i`` as a leaf; interior nodes route rows
     with ``x[feature] <= threshold`` to ``left`` and the rest to ``right``.
+    Nodes are stored in pre-order (left child first), so every child has a
+    larger index than its parent.
     """
 
     feature: np.ndarray  # (n_nodes,) int32, -1 at leaves
@@ -179,32 +150,15 @@ class FlatTree:
     def n_nodes(self) -> int:
         return len(self.value)
 
-    @classmethod
-    def from_node(cls, root: _Node) -> "FlatTree":
-        order: List[_Node] = []
-        index_of = {}
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            index_of[id(node)] = len(order)
-            order.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-        n = len(order)
-        feature = np.full(n, -1, dtype=np.int32)
-        threshold = np.zeros(n)
-        left = np.full(n, -1, dtype=np.int32)
-        right = np.full(n, -1, dtype=np.int32)
-        value = np.empty(n)
-        for index, node in enumerate(order):
-            value[index] = node.value
-            if not node.is_leaf:
-                feature[index] = node.feature
-                threshold[index] = node.threshold
-                left[index] = index_of[id(node.left)]
-                right[index] = index_of[id(node.right)]
-        return cls(feature=feature, threshold=threshold, left=left, right=right, value=value)
+    def n_leaves(self) -> int:
+        return int(np.count_nonzero(self.feature < 0))
+
+    def depth(self) -> int:
+        """Longest root-to-leaf edge count (a single leaf has depth 0)."""
+        depth = np.zeros(self.n_nodes, dtype=np.int64)
+        for node in np.flatnonzero(self.feature >= 0):  # parents before children
+            depth[self.left[node]] = depth[self.right[node]] = depth[node] + 1
+        return int(depth.max())
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Route all rows level-by-level; one numpy pass per tree level."""
@@ -219,29 +173,6 @@ class FlatTree:
             go_left = X[active, split_feature[active]] <= self.threshold[current]
             node[active] = np.where(go_left, self.left[current], self.right[current])
         return self.value[node]
-
-    def to_node(self) -> _Node:
-        """Rebuild the linked-node form of the tree (index 0 is the root).
-
-        Inverse of :meth:`from_node` up to node identity — routing and leaf
-        values are preserved exactly, so ``predict_recursive`` over the
-        rebuilt nodes matches the flattened ``predict`` bit for bit.  Used
-        when a tree is restored from serialized state, where only the flat
-        arrays are stored.
-        """
-
-        def build(index: int) -> _Node:
-            if self.feature[index] < 0:
-                return _Node(value=float(self.value[index]))
-            return _Node(
-                value=float(self.value[index]),
-                feature=int(self.feature[index]),
-                threshold=float(self.threshold[index]),
-                left=build(int(self.left[index])),
-                right=build(int(self.right[index])),
-            )
-
-        return build(0)
 
     def to_state(self) -> dict:
         """The five parallel arrays as a plain dict (copies, not views)."""
@@ -264,46 +195,59 @@ class FlatTree:
             value=np.asarray(state["value"], dtype=float),
         )
 
+    @classmethod
+    def from_lists(cls, feature, threshold, left, right, value) -> "FlatTree":
+        """Pack per-node lists (appended in pre-order) into arrays."""
+        return cls(
+            feature=np.array(feature, dtype=np.int32),
+            threshold=np.array(threshold, dtype=float),
+            left=np.array(left, dtype=np.int32),
+            right=np.array(right, dtype=np.int32),
+            value=np.array(value, dtype=float),
+        )
+
 
 # ---------------------------------------------------------------------------
-# Histogram split finding
+# Split objective and histogram split finding
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Objective:
+    """What one tree fit optimizes, in the gain form ``num^2 / (den + lam)``.
+
+    The variance tree uses ``num = w*y`` and ``den = w`` (with a denominator
+    floor) and the weighted mean as node value; the Newton tree uses
+    ``num = g`` and ``den = h`` with the L2 regularizer as ``lam`` and the
+    Newton step as node value.  ``pure`` stops splitting a node early.
+    """
+
+    num: np.ndarray
+    den: np.ndarray
+    lam: float
+    floor: float
+    node_value: Callable[[np.ndarray], float]  # node rows -> value
+    pure: Callable[[np.ndarray], bool]  # node rows -> nothing left to split
+
+    def score(self, num, den):
+        denominator = den + self.lam
+        if self.floor > 0.0:
+            denominator = np.maximum(denominator, self.floor)
+        return num * num / denominator
 
 
 class _HistogramContext:
-    """Per-fit state of the histogram splitter.
+    """Per-fit state of the histogram splitter."""
 
-    The split gain for both tree flavours has the common form
-    ``num^2 / (den + lam)``: the variance splitter uses ``num = w*y`` and
-    ``den = w`` (with a denominator floor), the Newton splitter ``num = g``
-    and ``den = h`` with the L2 regularizer as ``lam``.
-    """
-
-    def __init__(
-        self,
-        binned: BinnedMatrix,
-        num: np.ndarray,
-        den: np.ndarray,
-        lam: float,
-        floor: float,
-    ):
+    def __init__(self, binned: BinnedMatrix, objective: _Objective):
         self.binned = binned
-        self.num = num
-        self.den = den
-        self.lam = lam
-        self.floor = floor
+        self.objective = objective
         self._bins = binned.n_bins
         self._size = binned.n_features * self._bins
         # Both memoized on the binned matrix, so boosting rounds sharing one
         # BinnedMatrix pay for them once per fit, not once per tree.
         self._flat_codes = binned.flat_codes()
         self.cut_valid = binned.cut_valid()
-
-    def split_score(self, num, den):
-        denominator = den + self.lam
-        if self.floor > 0.0:
-            denominator = np.maximum(denominator, self.floor)
-        return num * num / denominator
 
     def histograms(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-bin (num, den, count) sums for the given rows, one bincount each."""
@@ -312,10 +256,10 @@ class _HistogramContext:
         shape = (reps, self._bins)
         count = np.bincount(flat, minlength=self._size).reshape(shape)
         num = np.bincount(
-            flat, weights=np.repeat(self.num[rows], reps), minlength=self._size
+            flat, weights=np.repeat(self.objective.num[rows], reps), minlength=self._size
         ).reshape(shape)
         den = np.bincount(
-            flat, weights=np.repeat(self.den[rows], reps), minlength=self._size
+            flat, weights=np.repeat(self.objective.den[rows], reps), minlength=self._size
         ).reshape(shape)
         return num, den, count
 
@@ -334,12 +278,12 @@ class _HistogramContext:
 
 
 class DecisionTreeRegressor(Estimator):
-    """CART regression tree with histogram (default) or exact splits.
+    """CART regression tree with histogram split finding.
 
-    A histogram fit additionally exposes ``training_predictions_`` — the leaf
-    value of every training row, assigned during growth — so boosting loops
-    can skip re-routing the training matrix after each round (bit-identical
-    to ``predict`` on the training data by construction).
+    A fit additionally exposes ``training_predictions_`` — the leaf value of
+    every training row, assigned during growth — so boosting loops can skip
+    re-routing the training matrix after each round (bit-identical to
+    ``predict`` on the training data by construction).
     """
 
     def __init__(
@@ -349,8 +293,6 @@ class DecisionTreeRegressor(Estimator):
         min_samples_leaf: int = 3,
         max_features: Optional[float] = None,
         min_impurity_decrease: float = 1e-9,
-        splitter: str = "hist",
-        max_bins: Optional[int] = None,
         seed: int = 0,
     ):
         self.max_depth = max_depth
@@ -358,8 +300,6 @@ class DecisionTreeRegressor(Estimator):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.min_impurity_decrease = min_impurity_decrease
-        self.splitter = splitter
-        self.max_bins = max_bins
         self.seed = seed
 
     # -- public ---------------------------------------------------------------
@@ -377,143 +317,130 @@ class DecisionTreeRegressor(Estimator):
             raise ValueError("features and targets must have the same number of rows")
         if len(X) == 0:
             raise ValueError("cannot fit a tree on an empty dataset")
-        weights = (
-            np.ones(len(y)) if sample_weight is None else as_1d_array(sample_weight)
-        )
-        self._rng_ = np.random.default_rng(self.seed)
-        self.n_features_ = X.shape[1]
-        if self.splitter == "hist":
-            binned = self._check_binned(X, binned)
-            context = _HistogramContext(binned, num=weights * y, den=weights, lam=0.0, floor=1e-12)
-            rows = np.arange(len(y))
-            self._training_pred_ = np.empty(len(y))
-            self.root_ = self._grow_hist(context, y, weights, rows, context.histograms(rows), 0)
-            self.training_predictions_ = self._training_pred_
-        elif self.splitter == "exact":
-            self.root_ = self._build(X, y, weights, depth=0)
-        else:
-            raise ValueError(f"splitter must be one of {SPLITTERS}, got {self.splitter!r}")
-        self.flat_ = FlatTree.from_node(self.root_)
-        return self
+        return self._fit(X, self._objective(y, sample_weight), binned)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         self._check_fitted("flat_")
         return self.flat_.predict(features)
 
-    def predict_recursive(self, features: np.ndarray) -> np.ndarray:
-        """Reference per-row recursive predict (equivalence testing only)."""
-        self._check_fitted("root_")
-        X = as_2d_array(features)
-        out = np.empty(len(X))
-        for i, row in enumerate(X):
-            out[i] = self._predict_row(row)
-        return out
-
     def depth(self) -> int:
         """Depth of the fitted tree (a single leaf has depth 0)."""
-        self._check_fitted("root_")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root_)
+        self._check_fitted("flat_")
+        return self.flat_.depth()
 
     def n_leaves(self) -> int:
         """Number of leaves of the fitted tree."""
-        self._check_fitted("root_")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self.root_)
+        self._check_fitted("flat_")
+        return self.flat_.n_leaves()
 
     # -- serialization ----------------------------------------------------------
 
     def _fitted_state(self) -> dict:
-        """Flat arrays + feature count; ``root_`` is rebuilt on restore."""
+        """Flat arrays + feature count: a restored tree *is* its arrays."""
         self._check_fitted("flat_")
         return {"flat": self.flat_.to_state(), "n_features": int(self.n_features_)}
 
     def _restore_fitted(self, fitted) -> None:
         self.flat_ = FlatTree.from_state(fitted["flat"])
-        self.root_ = self.flat_.to_node()
         self.n_features_ = int(fitted["n_features"])
 
     # -- internals --------------------------------------------------------------
 
-    def _check_binned(self, X: np.ndarray, binned: Optional[BinnedMatrix]) -> BinnedMatrix:
-        if binned is None:
-            return bin_feature_matrix(X, self.max_bins)
-        if binned.codes.shape != X.shape:
-            raise ValueError("pre-binned matrix does not match the feature matrix shape")
-        return binned
+    def _objective(self, targets, sample_weight=None) -> _Objective:
+        y = as_1d_array(targets)
+        weights = np.ones(len(y)) if sample_weight is None else as_1d_array(sample_weight)
 
-    def _predict_row(self, row: np.ndarray) -> float:
-        node = self.root_
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.value
+        def node_value(rows: np.ndarray) -> float:
+            node_y, node_w = y[rows], weights[rows]
+            total = node_w.sum()
+            if total <= 0:
+                return float(node_y.mean()) if len(node_y) else 0.0
+            return float(np.dot(node_y, node_w) / total)
 
-    def _leaf_value(self, y: np.ndarray, weights: np.ndarray) -> float:
-        total = weights.sum()
-        if total <= 0:
-            return float(y.mean()) if len(y) else 0.0
-        return float(np.dot(y, weights) / total)
-
-    def _candidate_features(self) -> np.ndarray:
-        if self.max_features is None:
-            return np.arange(self.n_features_)
-        count = max(1, int(round(self.max_features * self.n_features_)))
-        return self._rng_.choice(self.n_features_, size=count, replace=False)
-
-    # -- histogram splitter ------------------------------------------------------
-
-    def _grow_hist(
-        self,
-        context: _HistogramContext,
-        y: np.ndarray,
-        weights: np.ndarray,
-        rows: np.ndarray,
-        hist,
-        depth: int,
-    ) -> _Node:
-        node_y = y[rows]
-        value = self._leaf_value(node_y, weights[rows])
-        if (
-            depth >= self.max_depth
-            or len(rows) < self.min_samples_split
-            or np.all(node_y == node_y[0])
-        ):
-            self._training_pred_[rows] = value
-            return _Node(value=value)
-        split = self._best_hist_split(context, hist)
-        if split is None:
-            self._training_pred_[rows] = value
-            return _Node(value=value)
-        feature, cut_index, threshold = split
-        left_rows, right_rows, left_hist, right_hist = context.partition(
-            rows, hist, feature, cut_index
+        return _Objective(
+            num=weights * y,
+            den=weights,
+            lam=0.0,
+            floor=1e-12,
+            node_value=node_value,
+            pure=lambda rows: bool(np.all(y[rows] == y[rows[0]])),
         )
-        left = self._grow_hist(context, y, weights, left_rows, left_hist, depth + 1)
-        right = self._grow_hist(context, y, weights, right_rows, right_hist, depth + 1)
-        return _Node(value=value, feature=feature, threshold=threshold, left=left, right=right)
 
-    def _best_hist_split(
-        self, context: _HistogramContext, hist
+    def _fit(
+        self, X: np.ndarray, objective: _Objective, binned: Optional[BinnedMatrix]
+    ) -> "DecisionTreeRegressor":
+        self.n_features_ = X.shape[1]
+        if binned is None:
+            binned = bin_feature_matrix(X)
+        elif binned.codes.shape != X.shape:
+            raise ValueError("pre-binned matrix does not match the feature matrix shape")
+        self.flat_ = self._grow(_HistogramContext(binned, objective), np.random.default_rng(self.seed))
+        return self
+
+    def _grow(self, context: _HistogramContext, rng: np.random.Generator) -> FlatTree:
+        """Grow depth-first straight into flat arrays; sets ``training_predictions_``.
+
+        Nodes are appended in pre-order, left child first: a split node's
+        left child is the next node, and its right child's index is filled
+        in when the right subtree's root is popped.
+        """
+        objective = context.objective
+        feature: List[int] = []
+        threshold: List[float] = []
+        left: List[int] = []
+        right: List[int] = []
+        value: List[float] = []
+        self.training_predictions_ = np.empty(context.binned.n_rows)
+        root = np.arange(context.binned.n_rows)
+        stack = [(root, context.histograms(root), 0, -1)]
+        while stack:
+            rows, hist, depth, parent = stack.pop()
+            index = len(value)
+            if parent >= 0:
+                right[parent] = index
+            value.append(objective.node_value(rows))
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            split = None
+            if (
+                depth < self.max_depth
+                and len(rows) >= self.min_samples_split
+                and not objective.pure(rows)
+            ):
+                split = self._best_split(context, hist, rng)
+            if split is None:
+                self.training_predictions_[rows] = value[index]
+                continue
+            feature[index], cut_index, threshold[index] = split
+            left[index] = index + 1
+            left_rows, right_rows, left_hist, right_hist = context.partition(
+                rows, hist, feature[index], cut_index
+            )
+            stack.append((right_rows, right_hist, depth + 1, index))
+            stack.append((left_rows, left_hist, depth + 1, -1))
+        return FlatTree.from_lists(feature, threshold, left, right, value)
+
+    def _candidate_features(self, rng: np.random.Generator, n_features: int) -> np.ndarray:
+        if self.max_features is None:
+            return np.arange(n_features)
+        count = max(1, int(round(self.max_features * n_features)))
+        return rng.choice(n_features, size=count, replace=False)
+
+    def _best_split(
+        self, context: _HistogramContext, hist, rng: np.random.Generator
     ) -> Optional[Tuple[int, int, float]]:
         """Best (feature, cut index, threshold) from the node's histograms.
 
         All candidate features are scored in one vectorized pass over the
-        (features, bins) histogram arrays; tie-breaking matches the exact
-        splitter (first feature in candidate order, first cut position).
+        (features, bins) histogram arrays; ties go to the first feature in
+        candidate order, then the first cut position.
         """
         num_h, den_h, cnt_h = hist
-        candidates = self._candidate_features()
+        candidates = self._candidate_features(rng, context.binned.n_features)
         min_leaf = max(self.min_samples_leaf, 1)
+        score = context.objective.score
 
         left_num = np.cumsum(num_h[candidates], axis=1)
         left_den = np.cumsum(den_h[candidates], axis=1)
@@ -531,12 +458,10 @@ class DecisionTreeRegressor(Estimator):
             return None
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            score = context.split_score(left_num, left_den) + context.split_score(
+            children = score(left_num, left_den) + score(
                 total_num[:, None] - left_num, total_den[:, None] - left_den
             )
-            gain = np.where(
-                valid, score - context.split_score(total_num, total_den)[:, None], -np.inf
-            )
+            gain = np.where(valid, children - score(total_num, total_den)[:, None], -np.inf)
 
         best_cut = np.argmax(gain, axis=1)
         per_feature = np.take_along_axis(gain, best_cut[:, None], axis=1)[:, 0]
@@ -549,84 +474,11 @@ class DecisionTreeRegressor(Estimator):
             context.binned.cuts[feature]
         ):
             # Debug fault point: shifting the chosen cut one bin over
-            # re-partitions the node's rows, so the hist splitter diverges
-            # from the exact splitter under the fuzz campaign's
+            # re-partitions the node's rows, so the histogram fit diverges
+            # from the exact reference under the fuzz campaign's
             # hist-vs-exact oracle (see repro.faults).
             cut_index += 1
         return feature, cut_index, float(context.binned.cuts[feature][cut_index])
-
-    # -- exact splitter ----------------------------------------------------------
-
-    def _build(self, X: np.ndarray, y: np.ndarray, weights: np.ndarray, depth: int) -> _Node:
-        value = self._leaf_value(y, weights)
-        if (
-            depth >= self.max_depth
-            or len(y) < self.min_samples_split
-            or np.all(y == y[0])
-        ):
-            return _Node(value=value)
-
-        split = self._best_split(X, y, weights)
-        if split is None:
-            return _Node(value=value)
-        feature, threshold = split
-        mask = X[:, feature] <= threshold
-        left = self._build(X[mask], y[mask], weights[mask], depth + 1)
-        right = self._build(X[~mask], y[~mask], weights[~mask], depth + 1)
-        return _Node(value=value, feature=feature, threshold=threshold, left=left, right=right)
-
-    def _best_split(
-        self, X: np.ndarray, y: np.ndarray, weights: np.ndarray
-    ) -> Optional[Tuple[int, float]]:
-        """Return (feature, threshold) minimizing weighted squared error."""
-        best_gain = self.min_impurity_decrease
-        best: Optional[Tuple[int, float]] = None
-        total_weight = weights.sum()
-        total_sum = np.dot(y, weights)
-        parent_score = total_sum * total_sum / total_weight if total_weight > 0 else 0.0
-
-        for feature in self._candidate_features():
-            column = X[:, feature]
-            order = np.argsort(column, kind="stable")
-            sorted_x = column[order]
-            sorted_y = y[order]
-            sorted_w = weights[order]
-
-            cum_weight = np.cumsum(sorted_w)
-            cum_sum = np.cumsum(sorted_y * sorted_w)
-
-            # Candidate split positions: between distinct consecutive values.
-            distinct = np.nonzero(np.diff(sorted_x) > 0)[0]
-            if len(distinct) == 0:
-                continue
-            left_weight = cum_weight[distinct]
-            left_sum = cum_sum[distinct]
-            right_weight = total_weight - left_weight
-            right_sum = total_sum - left_sum
-
-            counts_left = distinct + 1
-            counts_right = len(y) - counts_left
-            valid = (counts_left >= self.min_samples_leaf) & (
-                counts_right >= self.min_samples_leaf
-            )
-            if not np.any(valid):
-                continue
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                score = np.where(
-                    valid,
-                    left_sum**2 / np.maximum(left_weight, 1e-12)
-                    + right_sum**2 / np.maximum(right_weight, 1e-12),
-                    -np.inf,
-                )
-            gain = score - parent_score
-            index = int(np.argmax(gain))
-            if gain[index] > best_gain:
-                best_gain = float(gain[index])
-                position = distinct[index]
-                threshold = 0.5 * (sorted_x[position] + sorted_x[position + 1])
-                best = (int(feature), float(threshold))
-        return best
 
 
 class NewtonTreeRegressor(DecisionTreeRegressor):
@@ -646,8 +498,6 @@ class NewtonTreeRegressor(DecisionTreeRegressor):
         max_features: Optional[float] = None,
         reg_lambda: float = 1.0,
         min_gain: float = 1e-9,
-        splitter: str = "hist",
-        max_bins: Optional[int] = None,
         seed: int = 0,
     ):
         super().__init__(
@@ -656,8 +506,6 @@ class NewtonTreeRegressor(DecisionTreeRegressor):
             min_samples_leaf=min_samples_leaf,
             max_features=max_features,
             min_impurity_decrease=min_gain,
-            splitter=splitter,
-            max_bins=max_bins,
             seed=seed,
         )
         self.reg_lambda = reg_lambda
@@ -682,25 +530,7 @@ class NewtonTreeRegressor(DecisionTreeRegressor):
         hess = as_1d_array(hessians)
         if not (len(X) == len(grad) == len(hess)):
             raise ValueError("features, gradients and hessians must align")
-        self._rng_ = np.random.default_rng(self.seed)
-        self.n_features_ = X.shape[1]
-        if self.splitter == "hist":
-            binned = self._check_binned(X, binned)
-            context = _HistogramContext(
-                binned, num=grad, den=hess, lam=self.reg_lambda, floor=0.0
-            )
-            rows = np.arange(len(grad))
-            self._training_pred_ = np.empty(len(grad))
-            self.root_ = self._grow_hist_newton(
-                context, grad, hess, rows, context.histograms(rows), 0
-            )
-            self.training_predictions_ = self._training_pred_
-        elif self.splitter == "exact":
-            self.root_ = self._build_newton(X, grad, hess, depth=0)
-        else:
-            raise ValueError(f"splitter must be one of {SPLITTERS}, got {self.splitter!r}")
-        self.flat_ = FlatTree.from_node(self.root_)
-        return self
+        return self._fit(X, self._objective(grad, hess), binned)
 
     def fit(self, features, targets, sample_weight=None, binned=None):  # type: ignore[override]
         """Plain regression fit: equivalent to one Newton step on squared loss."""
@@ -709,94 +539,91 @@ class NewtonTreeRegressor(DecisionTreeRegressor):
         hessians = np.ones_like(y)
         return self.fit_gradients(features, gradients, hessians, binned=binned)
 
-    # -- internals --------------------------------------------------------------
-
-    def _newton_value(self, grad: np.ndarray, hess: np.ndarray) -> float:
-        return float(-grad.sum() / (hess.sum() + self.reg_lambda))
-
-    def _grow_hist_newton(
-        self,
-        context: _HistogramContext,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        rows: np.ndarray,
-        hist,
-        depth: int,
-    ) -> _Node:
-        value = self._newton_value(grad[rows], hess[rows])
-        if depth >= self.max_depth or len(rows) < self.min_samples_split:
-            self._training_pred_[rows] = value
-            return _Node(value=value)
-        split = self._best_hist_split(context, hist)
-        if split is None:
-            self._training_pred_[rows] = value
-            return _Node(value=value)
-        feature, cut_index, threshold = split
-        left_rows, right_rows, left_hist, right_hist = context.partition(
-            rows, hist, feature, cut_index
+    def _objective(self, gradients, hessians) -> _Objective:  # type: ignore[override]
+        grad = as_1d_array(gradients)
+        hess = as_1d_array(hessians)
+        return _Objective(
+            num=grad,
+            den=hess,
+            lam=self.reg_lambda,
+            floor=0.0,
+            node_value=lambda rows: float(-grad[rows].sum() / (hess[rows].sum() + self.reg_lambda)),
+            pure=lambda rows: False,
         )
-        left = self._grow_hist_newton(context, grad, hess, left_rows, left_hist, depth + 1)
-        right = self._grow_hist_newton(context, grad, hess, right_rows, right_hist, depth + 1)
-        return _Node(value=value, feature=feature, threshold=threshold, left=left, right=right)
 
-    def _build_newton(
-        self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray, depth: int
-    ) -> _Node:
-        value = self._newton_value(grad, hess)
-        if depth >= self.max_depth or len(grad) < self.min_samples_split:
-            return _Node(value=value)
-        split = self._best_newton_split(X, grad, hess)
-        if split is None:
-            return _Node(value=value)
-        feature, threshold = split
-        mask = X[:, feature] <= threshold
-        left = self._build_newton(X[mask], grad[mask], hess[mask], depth + 1)
-        right = self._build_newton(X[~mask], grad[~mask], hess[~mask], depth + 1)
-        return _Node(value=value, feature=feature, threshold=threshold, left=left, right=right)
 
-    def _best_newton_split(
-        self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray
-    ) -> Optional[Tuple[int, float]]:
-        lam = self.reg_lambda
-        total_g = grad.sum()
-        total_h = hess.sum()
-        parent_score = total_g * total_g / (total_h + lam)
-        best_gain = self.min_impurity_decrease
-        best: Optional[Tuple[int, float]] = None
+# ---------------------------------------------------------------------------
+# Exact reference (test oracle)
+# ---------------------------------------------------------------------------
 
-        for feature in self._candidate_features():
-            column = X[:, feature]
+
+def fit_tree_reference(tree: DecisionTreeRegressor, features: np.ndarray, *statistics) -> FlatTree:
+    """Fit ``tree``'s hyperparameters with the exact split search.
+
+    ``statistics`` are what the tree's fit takes after the features:
+    ``(targets[, sample_weight])`` for a :class:`DecisionTreeRegressor`,
+    ``(gradients, hessians)`` for a :class:`NewtonTreeRegressor`.  Every
+    candidate threshold is a midpoint between consecutive distinct values of
+    a sorted column; the objective, stopping rules and tie-breaking are the
+    histogram fit's.  Test oracle only: ``tree`` is left unfitted.
+    """
+    X = as_2d_array(features)
+    objective = tree._objective(*statistics)
+    rng = np.random.default_rng(tree.seed)
+    min_leaf = max(tree.min_samples_leaf, 1)
+    nodes: List[list] = []  # [feature, threshold, left, right, value] per node
+
+    def best_split(rows: np.ndarray) -> Optional[Tuple[int, float]]:
+        total_num = objective.num[rows].sum()
+        total_den = objective.den[rows].sum()
+        best_gain, best = tree.min_impurity_decrease, None
+        for feature in tree._candidate_features(rng, X.shape[1]):
+            column = X[rows, feature]
             order = np.argsort(column, kind="stable")
             sorted_x = column[order]
-            cum_g = np.cumsum(grad[order])
-            cum_h = np.cumsum(hess[order])
-
             distinct = np.nonzero(np.diff(sorted_x) > 0)[0]
-            if len(distinct) == 0:
+            valid = (distinct + 1 >= min_leaf) & (len(rows) - distinct - 1 >= min_leaf)
+            if not valid.any():
                 continue
-            left_g = cum_g[distinct]
-            left_h = cum_h[distinct]
-            right_g = total_g - left_g
-            right_h = total_h - left_h
-
-            counts_left = distinct + 1
-            counts_right = len(grad) - counts_left
-            valid = (counts_left >= self.min_samples_leaf) & (
-                counts_right >= self.min_samples_leaf
-            )
-            if not np.any(valid):
-                continue
-
-            score = np.where(
-                valid,
-                left_g**2 / (left_h + lam) + right_g**2 / (right_h + lam),
-                -np.inf,
-            )
-            gain = score - parent_score
+            left_num = np.cumsum(objective.num[rows[order]])[distinct]
+            left_den = np.cumsum(objective.den[rows[order]])[distinct]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                children = objective.score(left_num, left_den) + objective.score(
+                    total_num - left_num, total_den - left_den
+                )
+                gain = np.where(valid, children - objective.score(total_num, total_den), -np.inf)
             index = int(np.argmax(gain))
             if gain[index] > best_gain:
                 best_gain = float(gain[index])
                 position = distinct[index]
-                threshold = 0.5 * (sorted_x[position] + sorted_x[position + 1])
-                best = (int(feature), float(threshold))
+                best = (int(feature), float(0.5 * (sorted_x[position] + sorted_x[position + 1])))
         return best
+
+    def build(rows: np.ndarray, depth: int) -> int:
+        index = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, objective.node_value(rows)])
+        if depth >= tree.max_depth or len(rows) < tree.min_samples_split or objective.pure(rows):
+            return index
+        split = best_split(rows)
+        if split is not None:
+            mask = X[rows, split[0]] <= split[1]
+            nodes[index][:2] = split
+            nodes[index][2] = build(rows[mask], depth + 1)
+            nodes[index][3] = build(rows[~mask], depth + 1)
+        return index
+
+    build(np.arange(len(X)), 0)
+    return FlatTree.from_lists(*zip(*nodes))
+
+
+def predict_tree_reference(flat: FlatTree, features: np.ndarray) -> np.ndarray:
+    """Per-row walk of a :class:`FlatTree` — the reference for its ``predict``."""
+    X = as_2d_array(features)
+    out = np.empty(len(X))
+    for i, row in enumerate(X):
+        node = 0
+        while flat.feature[node] >= 0:
+            go_left = row[flat.feature[node]] <= flat.threshold[node]
+            node = flat.left[node] if go_left else flat.right[node]
+        out[i] = flat.value[node]
+    return out

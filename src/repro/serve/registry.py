@@ -56,7 +56,7 @@ from repro.runtime import report as report_mod
 from repro.runtime.cache import ArtifactCache, PICKLE_PROTOCOL, default_cache_dir, gc_paused
 
 #: Version tag of the bundle schema (manifest + payload layout).
-MODEL_BUNDLE_SCHEMA = "repro-model-bundle/1"
+MODEL_BUNDLE_SCHEMA = "repro-model-bundle/2"
 
 #: Version tag of the ``registry.json`` index schema.
 REGISTRY_INDEX_SCHEMA = "repro-model-registry/1"

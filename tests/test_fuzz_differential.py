@@ -245,7 +245,7 @@ class TestFaultInjection:
         assert hist_vs_exact_gbm(FuzzContext(fuzz), random.Random(7)) == []
         monkeypatch.setenv(FAULT_ENV_VAR, "gbm.hist_threshold")
         broken = hist_vs_exact_gbm(FuzzContext(fuzz), random.Random(7))
-        assert broken, "shifted cut must diverge from the exact splitter"
+        assert broken, "shifted cut must diverge from the exact reference fit"
 
     def test_fault_campaign_catches_shrinks_and_bundles(self, tmp_path, monkeypatch):
         """End-to-end: injected fault -> violation -> shrink -> replayable bundle."""

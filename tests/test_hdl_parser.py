@@ -14,7 +14,8 @@ from repro.hdl.ast_nodes import (
     Ternary,
     UnaryOp,
 )
-from repro.hdl.parser import ParseError, Parser, parse_source
+from repro.core.dataset import build_design_record
+from repro.hdl.parser import MAX_EXPRESSION_DEPTH, ParseError, Parser, parse_source
 from repro.hdl.writer import write_verilog
 
 
@@ -65,6 +66,49 @@ class TestExpressions:
         expr = parse_expr("(a + b) * c")
         assert expr.op == "*"
         assert isinstance(expr.left, BinaryOp) and expr.left.op == "+"
+
+
+def _nested(shape, depth):
+    """An expression of the given shape that is ``depth`` levels deep."""
+    if shape == "parentheses":
+        return "(" * (depth - 1) + "a" + ")" * (depth - 1)
+    if shape == "unary":
+        return "~" * (depth - 1) + "a"
+    return " ^ ".join(["a"] * depth)  # left-nested chain, one level per operand
+
+
+def _deep_module(expr):
+    return f"module deep (a, y); input a; output y; assign y = {expr}; endmodule"
+
+
+class TestNestingLimit:
+    SHAPES = ("parentheses", "unary", "xor_chain")
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_hostile_nesting_is_a_parse_error(self, shape):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_EXPRESSION_DEPTH}"):
+            parse_source(_deep_module(_nested(shape, 3000)))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_limit_is_exact_and_accepted_depth_builds(self, shape):
+        with pytest.raises(ParseError):
+            parse_expr(_nested(shape, MAX_EXPRESSION_DEPTH + 1))
+        record = build_design_record(_deep_module(_nested(shape, MAX_EXPRESSION_DEPTH)), name="deep")
+        assert record.name == "deep"
+
+    def test_writer_output_of_a_deep_chain_parses_back(self):
+        """The writer parenthesizes every operator; parentheses add no tree level."""
+        module = parse_source(_deep_module(_nested("xor_chain", MAX_EXPRESSION_DEPTH - 1)))
+        assert parse_source(write_verilog(module)).assigns == module.assigns
+
+    def test_ternary_and_concat_levels_count(self):
+        ternary = "s ? " * MAX_EXPRESSION_DEPTH + "a" + " : b" * MAX_EXPRESSION_DEPTH
+        with pytest.raises(ParseError):
+            parse_expr(ternary)
+        concat = "{" * MAX_EXPRESSION_DEPTH + "a" + "}" * MAX_EXPRESSION_DEPTH
+        with pytest.raises(ParseError):
+            parse_expr(concat)
+        assert isinstance(parse_expr("{" * (MAX_EXPRESSION_DEPTH - 1) + "a" + "}" * (MAX_EXPRESSION_DEPTH - 1)), Concat)
 
 
 class TestModules:

@@ -13,8 +13,8 @@ from repro.ml import (
     NewtonTreeRegressor,
     bin_feature_matrix,
     group_max,
-    resolve_max_bins,
 )
+from repro.ml.tree import fit_tree_reference, predict_tree_reference
 
 
 @pytest.fixture(scope="module")
@@ -172,38 +172,53 @@ def _variance_split_gain(X, y, weights, feature, threshold):
 class TestBinning:
     def test_low_cardinality_gets_one_bin_per_value(self):
         X = np.array([[0.0], [2.0], [2.0], [5.0], [9.0]])
-        binned = bin_feature_matrix(X, max_bins=256)
+        binned = bin_feature_matrix(X)
         assert len(binned.cuts[0]) == 3  # 4 distinct values -> 3 cut points
         assert list(binned.codes[:, 0]) == [0, 1, 1, 2, 3]
 
     def test_codes_are_monotone_in_value(self):
         rng = np.random.default_rng(0)
-        X = rng.normal(size=(3000, 2))
-        binned = bin_feature_matrix(X, max_bins=16)
+        X = rng.normal(size=(3000, 2))  # 3000 distinct values per column
+        binned = bin_feature_matrix(X)
         for feature in range(2):
             order = np.argsort(X[:, feature])
             codes = binned.codes[order, feature].astype(int)
             assert np.all(np.diff(codes) >= 0)
-            assert codes.max() <= 15
+            assert codes.max() <= 255
 
     def test_cut_points_partition_like_thresholds(self):
         rng = np.random.default_rng(1)
-        column = rng.normal(size=(500, 1))
-        binned = bin_feature_matrix(column, max_bins=8)
+        column = rng.normal(size=(500, 1))  # more distinct values than bins
+        binned = bin_feature_matrix(column)
+        assert len(binned.cuts[0]) == 255
         for index, cut in enumerate(binned.cuts[0]):
             assert np.array_equal(
                 binned.codes[:, 0] <= index, column[:, 0] <= cut
             )
 
-    def test_budget_clamped_to_uint8_range(self):
-        assert resolve_max_bins() == 256
-        assert resolve_max_bins(8) == 8
-        assert resolve_max_bins(100000) == 256  # uint8 ceiling
-        assert resolve_max_bins(1) == 2
+
+def _boost_reference(X, y, n_estimators, learning_rate=0.1, max_depth=6, min_samples_leaf=3):
+    """Squared-error boosting with exact-reference trees (GBM defaults otherwise)."""
+    base = float(np.mean(y))
+    trees, predictions = [], np.full(len(y), base)
+    for _ in range(n_estimators):
+        tree = NewtonTreeRegressor(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        flat = fit_tree_reference(tree, X, predictions - y, np.ones_like(y))
+        predictions = predictions + learning_rate * flat.predict(X)
+        trees.append(flat)
+    return lambda Z: base + learning_rate * sum(flat.predict(Z) for flat in trees)
+
+
+def _fit_flat(splitter, X, y, **params):
+    """The flat tree of a production (``hist``) or exact-reference fit."""
+    tree = DecisionTreeRegressor(**params)
+    if splitter == "exact":
+        return fit_tree_reference(tree, X, y)
+    return tree.fit(X, y).flat_
 
 
 class TestSplitterEquivalence:
-    """Histogram vs exact split finding on bin-exact (low-cardinality) data."""
+    """Histogram fit vs the exact reference on bin-exact (low-cardinality) data."""
 
     def _data(self, seed=3, rows=400):
         rng = np.random.default_rng(seed)
@@ -213,8 +228,8 @@ class TestSplitterEquivalence:
 
     def test_identical_predictions_with_tied_values(self):
         X, y = self._data()
-        exact = DecisionTreeRegressor(splitter="exact", max_depth=6).fit(X, y)
-        hist = DecisionTreeRegressor(splitter="hist", max_depth=6).fit(X, y)
+        exact = fit_tree_reference(DecisionTreeRegressor(max_depth=6), X, y)
+        hist = DecisionTreeRegressor(max_depth=6).fit(X, y)
         assert np.array_equal(exact.predict(X), hist.predict(X))
         assert exact.n_leaves() == hist.n_leaves()
 
@@ -222,57 +237,41 @@ class TestSplitterEquivalence:
         X, y = self._data()
         X[:, 3] = 7.0
         for splitter in ("exact", "hist"):
-            tree = DecisionTreeRegressor(splitter=splitter, max_depth=6).fit(X, y)
-            stack = [tree.root_]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    continue
-                assert node.feature != 3
-                stack.extend([node.left, node.right])
+            flat = _fit_flat(splitter, X, y, max_depth=6)
+            assert flat.n_leaves() > 1
+            assert not np.any(flat.feature == 3)
 
     def test_all_constant_features_give_single_leaf(self):
         X = np.full((30, 3), 2.0)
         y = np.arange(30, dtype=float)
         for splitter in ("exact", "hist"):
-            tree = DecisionTreeRegressor(
-                splitter=splitter, max_depth=5, min_samples_split=2
-            ).fit(X, y)
-            assert tree.n_leaves() == 1
+            flat = _fit_flat(splitter, X, y, max_depth=5, min_samples_split=2)
+            assert flat.n_leaves() == 1
 
     def test_root_split_gains_match_with_weights(self):
         X, y = self._data(seed=11)
         rng = np.random.default_rng(4)
         weights = rng.uniform(0.1, 3.0, size=len(y))
-        exact = DecisionTreeRegressor(splitter="exact", max_depth=1, min_samples_leaf=1)
-        hist = DecisionTreeRegressor(splitter="hist", max_depth=1, min_samples_leaf=1)
-        exact.fit(X, y, sample_weight=weights)
-        hist.fit(X, y, sample_weight=weights)
-        assert not exact.root_.is_leaf and not hist.root_.is_leaf
-        gain_exact = _variance_split_gain(
-            X, y, weights, exact.root_.feature, exact.root_.threshold
-        )
-        gain_hist = _variance_split_gain(
-            X, y, weights, hist.root_.feature, hist.root_.threshold
-        )
+        params = dict(max_depth=1, min_samples_leaf=1)
+        exact = fit_tree_reference(DecisionTreeRegressor(**params), X, y, weights)
+        hist = DecisionTreeRegressor(**params).fit(X, y, sample_weight=weights).flat_
+        assert exact.feature[0] >= 0 and hist.feature[0] >= 0
+        gain_exact = _variance_split_gain(X, y, weights, exact.feature[0], exact.threshold[0])
+        gain_hist = _variance_split_gain(X, y, weights, hist.feature[0], hist.threshold[0])
         assert gain_hist == pytest.approx(gain_exact, rel=1e-9)
         # The chosen partitions are identical, not just equally good.
-        assert exact.root_.feature == hist.root_.feature
+        assert exact.feature[0] == hist.feature[0]
         assert np.array_equal(
-            X[:, exact.root_.feature] <= exact.root_.threshold,
-            X[:, hist.root_.feature] <= hist.root_.threshold,
+            X[:, exact.feature[0]] <= exact.threshold[0],
+            X[:, hist.feature[0]] <= hist.threshold[0],
         )
 
     def test_weighted_fit_predictions_match(self):
         X, y = self._data(seed=5)
         rng = np.random.default_rng(6)
         weights = rng.uniform(0.1, 4.0, size=len(y))
-        exact = DecisionTreeRegressor(splitter="exact", max_depth=5).fit(
-            X, y, sample_weight=weights
-        )
-        hist = DecisionTreeRegressor(splitter="hist", max_depth=5).fit(
-            X, y, sample_weight=weights
-        )
+        exact = fit_tree_reference(DecisionTreeRegressor(max_depth=5), X, y, weights)
+        hist = DecisionTreeRegressor(max_depth=5).fit(X, y, sample_weight=weights)
         assert np.allclose(exact.predict(X), hist.predict(X))
 
     def test_newton_trees_identical_on_binned_data(self):
@@ -280,9 +279,8 @@ class TestSplitterEquivalence:
         rng = np.random.default_rng(8)
         grad = y - rng.normal(size=len(y))
         hess = rng.uniform(0.5, 2.0, size=len(y))
-        exact = NewtonTreeRegressor(splitter="exact", max_depth=5)
-        hist = NewtonTreeRegressor(splitter="hist", max_depth=5)
-        exact.fit_gradients(X, grad, hess)
+        exact = fit_tree_reference(NewtonTreeRegressor(max_depth=5), X, grad, hess)
+        hist = NewtonTreeRegressor(max_depth=5)
         hist.fit_gradients(X, grad, hess)
         assert np.array_equal(exact.predict(X), hist.predict(X))
 
@@ -290,49 +288,33 @@ class TestSplitterEquivalence:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(800, 6))
         y = 2.0 * X[:, 0] - X[:, 1] + np.sin(X[:, 2]) + 0.1 * rng.normal(size=800)
-        exact = GradientBoostingRegressor(n_estimators=30, splitter="exact").fit(
-            X[:600], y[:600]
-        )
-        hist = GradientBoostingRegressor(n_estimators=30, splitter="hist").fit(
-            X[:600], y[:600]
-        )
-        mse_exact = np.mean((exact.predict(X[600:]) - y[600:]) ** 2)
+        exact_predict = _boost_reference(X[:600], y[:600], n_estimators=30)
+        hist = GradientBoostingRegressor(n_estimators=30).fit(X[:600], y[:600])
+        mse_exact = np.mean((exact_predict(X[600:]) - y[600:]) ** 2)
         mse_hist = np.mean((hist.predict(X[600:]) - y[600:]) ** 2)
         assert mse_hist <= mse_exact * 1.25
-        assert np.corrcoef(exact.predict(X[600:]), hist.predict(X[600:]))[0, 1] > 0.98
-
-    def test_unknown_splitter_rejected(self):
-        X = np.zeros((10, 2))
-        y = np.arange(10, dtype=float)
-        with pytest.raises(ValueError):
-            DecisionTreeRegressor(splitter="bogus").fit(X, y)
-        with pytest.raises(ValueError):
-            NewtonTreeRegressor(splitter="bogus").fit(X, y)
-
-    def test_small_bin_budget_still_learns(self):
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(600, 4))
-        y = 3.0 * X[:, 0] + X[:, 1]
-        tree = DecisionTreeRegressor(splitter="hist", max_bins=8, max_depth=6).fit(X, y)
-        assert np.corrcoef(tree.predict(X), y)[0, 1] > 0.9
+        assert np.corrcoef(exact_predict(X[600:]), hist.predict(X[600:]))[0, 1] > 0.98
 
 
 class TestFlatPredict:
+    """``FlatTree.predict`` against the per-row walk, for both fits."""
+
     def test_flat_matches_recursive_on_randomized_trees(self):
         rng = np.random.default_rng(12)
         for seed in range(8):
             X = rng.normal(size=(300, 4))
             y = rng.normal(size=300) + X[:, seed % 4]
-            splitter = "hist" if seed % 2 == 0 else "exact"
-            tree = DecisionTreeRegressor(
-                splitter=splitter,
+            flat = _fit_flat(
+                "hist" if seed % 2 == 0 else "exact",
+                X,
+                y,
                 max_depth=int(rng.integers(1, 9)),
                 min_samples_leaf=int(rng.integers(1, 6)),
                 seed=seed,
-            ).fit(X, y)
+            )
             fresh = rng.normal(size=(200, 4))
-            assert np.array_equal(tree.predict(X), tree.predict_recursive(X))
-            assert np.array_equal(tree.predict(fresh), tree.predict_recursive(fresh))
+            assert np.array_equal(flat.predict(X), predict_tree_reference(flat, X))
+            assert np.array_equal(flat.predict(fresh), predict_tree_reference(flat, fresh))
 
     def test_flat_tree_arrays_consistent(self):
         rng = np.random.default_rng(13)
@@ -351,9 +333,9 @@ class TestFlatPredict:
         rng = np.random.default_rng(14)
         X = rng.normal(size=(250, 4))
         y = X[:, 1] - X[:, 2] + rng.normal(size=250)
-        tree = DecisionTreeRegressor(splitter="hist", max_depth=5).fit(X, y)
+        tree = DecisionTreeRegressor(max_depth=5).fit(X, y)
         assert np.array_equal(tree.training_predictions_, tree.predict(X))
-        newton = NewtonTreeRegressor(splitter="hist", max_depth=5).fit(X, y)
+        newton = NewtonTreeRegressor(max_depth=5).fit(X, y)
         assert np.array_equal(newton.training_predictions_, newton.predict(X))
 
     def test_single_leaf_tree_predicts_constant(self):
@@ -367,21 +349,21 @@ class TestFlatPredict:
         """A one-node FlatTree routes nothing and still mirrors the reference."""
         X = np.arange(12, dtype=float).reshape(-1, 2)
         y = np.full(6, -2.25)
-        tree = DecisionTreeRegressor(splitter=splitter, max_depth=4).fit(X, y)
-        assert tree.flat_.n_nodes == 1
+        flat = _fit_flat(splitter, X, y, max_depth=4)
+        assert flat.n_nodes == 1
         fresh = np.random.default_rng(1).normal(size=(7, 2))
-        assert np.array_equal(tree.predict(fresh), tree.predict_recursive(fresh))
+        assert np.array_equal(flat.predict(fresh), predict_tree_reference(flat, fresh))
 
     @pytest.mark.parametrize("splitter", ["hist", "exact"])
     def test_empty_predict_matrix(self, splitter, regression_data):
         """Predicting zero rows returns an empty vector, bit-identical paths."""
         X, y = regression_data
-        tree = DecisionTreeRegressor(splitter=splitter, max_depth=4).fit(X, y)
+        flat = _fit_flat(splitter, X, y, max_depth=4)
         empty = np.empty((0, X.shape[1]))
-        flat = tree.predict(empty)
-        recursive = tree.predict_recursive(empty)
-        assert flat.shape == recursive.shape == (0,)
-        assert np.array_equal(flat, recursive)
+        level_wise = flat.predict(empty)
+        per_row = predict_tree_reference(flat, empty)
+        assert level_wise.shape == per_row.shape == (0,)
+        assert np.array_equal(level_wise, per_row)
 
     @pytest.mark.parametrize("splitter", ["hist", "exact"])
     def test_all_constant_feature_column_never_split(self, splitter):
@@ -389,23 +371,23 @@ class TestFlatPredict:
         rng = np.random.default_rng(21)
         X = np.column_stack([np.full(120, 7.5), rng.normal(size=120)])
         y = 3.0 * X[:, 1] + rng.normal(size=120) * 0.1
-        tree = DecisionTreeRegressor(splitter=splitter, max_depth=5).fit(X, y)
-        assert not np.any(tree.flat_.feature == 0), "constant column must never split"
-        assert np.array_equal(tree.predict(X), tree.predict_recursive(X))
+        flat = _fit_flat(splitter, X, y, max_depth=5)
+        assert not np.any(flat.feature == 0), "constant column must never split"
+        assert np.array_equal(flat.predict(X), predict_tree_reference(flat, X))
 
     @pytest.mark.parametrize("splitter", ["hist", "exact"])
     @pytest.mark.parametrize("max_depth", [1, 2])
     def test_depth_limit_boundary(self, splitter, max_depth, regression_data):
         """At the depth cap the deepest interior node still flattens correctly."""
         X, y = regression_data
-        tree = DecisionTreeRegressor(
-            splitter=splitter, max_depth=max_depth, min_samples_leaf=1
-        ).fit(X, y)
-        assert tree.depth() == max_depth
-        assert tree.flat_.n_nodes <= 2 ** (max_depth + 1) - 1
+        flat = _fit_flat(splitter, X, y, max_depth=max_depth, min_samples_leaf=1)
+        assert flat.depth() == max_depth
+        assert flat.n_nodes <= 2 ** (max_depth + 1) - 1
         fresh = np.random.default_rng(22).normal(size=(150, X.shape[1]))
-        assert np.array_equal(tree.predict(X), tree.predict_recursive(X))
-        assert np.array_equal(tree.predict(fresh), tree.predict_recursive(fresh))
+        assert np.array_equal(flat.predict(X), predict_tree_reference(flat, X))
+        assert np.array_equal(flat.predict(fresh), predict_tree_reference(flat, fresh))
+
+
 @given(
     st.lists(
         st.tuples(st.floats(-100, 100), st.floats(-100, 100)), min_size=10, max_size=40

@@ -30,17 +30,22 @@ from repro.ml import (
     estimator_from_state,
 )
 from repro.ml.gbm import HuberObjective
+from repro.ml.tree import predict_tree_reference
 from repro.serve.registry import (
     MODEL_BUNDLE_SCHEMA,
     ModelRegistry,
     RegistryError,
+    build_manifest,
     read_bundle_file,
+    state_payload,
     write_bundle_file,
 )
 
 rng = np.random.default_rng(7)
 X = rng.normal(size=(160, 5))
 y = 2.0 * X[:, 0] + np.sin(X[:, 1]) + 0.05 * rng.normal(size=160)
+#: At most 256 distinct values per column: histogram cuts are the exact thresholds.
+X_exact = np.round(X * 8.0)
 
 
 #: Small fast-training config shared by the RTLTimer round-trip tests.
@@ -65,12 +70,12 @@ def tiny_timer(tiny_records):
     "build",
     [
         lambda: DecisionTreeRegressor(max_depth=5).fit(X, y),
-        lambda: DecisionTreeRegressor(splitter="exact", max_depth=4).fit(X, y),
+        lambda: DecisionTreeRegressor(max_depth=4).fit(X_exact, y),
         lambda: NewtonTreeRegressor(max_depth=4).fit(X, y),
         lambda: GradientBoostingRegressor(n_estimators=12, subsample=0.8).fit(X, y),
         lambda: GradientBoostingRegressor(
-            n_estimators=8, objective=HuberObjective(delta=0.7), splitter="exact"
-        ).fit(X, y),
+            n_estimators=8, objective=HuberObjective(delta=0.7)
+        ).fit(X_exact, y),
     ],
     ids=["tree-hist", "tree-exact", "newton-tree", "gbm", "gbm-huber-exact"],
 )
@@ -82,10 +87,22 @@ def test_regressor_state_roundtrip_bit_identical(build):
 
 
 def test_tree_state_restores_recursive_reference():
-    """The rebuilt node tree predicts identically to the flat arrays."""
+    """A per-row walk of the restored arrays predicts like the fitted tree."""
     model = DecisionTreeRegressor(max_depth=6).fit(X, y)
     restored = estimator_from_state(model.to_state())
-    assert np.array_equal(restored.predict_recursive(X), model.predict(X))
+    assert np.array_equal(predict_tree_reference(restored.flat_, X), model.predict(X))
+
+
+def test_restored_gbm_keeps_importances_and_tree_shapes():
+    """Importances, depths and leaf counts are read from the restored arrays alone."""
+    model = GradientBoostingRegressor(n_estimators=12, max_depth=4, colsample=0.8).fit(X, y)
+    restored = estimator_from_state(model.to_state())
+    assert np.array_equal(restored.feature_importances(), model.feature_importances())
+    assert len(restored.trees_) == len(model.trees_)
+    for fitted, loaded in zip(model.trees_, restored.trees_):
+        assert loaded.depth() == fitted.depth()
+        assert loaded.n_leaves() == fitted.n_leaves()
+    assert {tree.depth() for tree in model.trees_} != {0}  # the trees do split
 
 
 def test_gbm_state_drops_training_objective_but_keeps_predictions():
@@ -226,6 +243,26 @@ def test_bundle_manifest_schema_checked(tiny_timer, tmp_path):
     bundle["manifest"]["schema"] = "repro-model-bundle/999"
     path.write_bytes(pickle.dumps(bundle))
     with pytest.raises(RegistryError, match="unsupported bundle schema"):
+        read_bundle_file(path)
+
+
+def test_bundle_with_removed_tree_knobs_fails_on_schema(tiny_timer, tmp_path):
+    """A bundle from the previous schema fails with a typed RegistryError.
+
+    Its configs still carry the removed ``splitter``/``max_bins`` fields,
+    which config restoration rejects with a bare TypeError; the schema check
+    runs first, so loaders see the unsupported schema instead.
+    """
+    state = tiny_timer.to_state()
+    state["config"]["fields"]["bitwise"]["fields"].update(splitter="hist", max_bins=None)
+    with pytest.raises(TypeError):
+        RTLTimer.from_state(state)
+    payload = state_payload(state)
+    manifest = build_manifest(tiny_timer, payload)
+    manifest["schema"] = "repro-model-bundle/1"
+    path = tmp_path / "old.bundle"
+    path.write_bytes(pickle.dumps({"manifest": manifest, "payload": payload}))
+    with pytest.raises(RegistryError, match="unsupported bundle schema 'repro-model-bundle/1'"):
         read_bundle_file(path)
 
 

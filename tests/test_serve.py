@@ -276,6 +276,8 @@ MALFORMED_SOURCES = (
     "module broken(input a; endmodule",  # ParseError
     "module m(input a, output y); assign y = a $ a; endmodule",  # LexerError
     "module m(input a, output y); assign y = b; endmodule",  # AnalysisError
+    # ParseError before the parser recurses: nested deeper than 64 levels.
+    "module m(input a, output y); assign y = " + "~" * 3000 + "a; endmodule",
 )
 
 
